@@ -64,7 +64,7 @@ impl Table {
     /// verdict) — the machine-readable artifact CI uploads alongside
     /// `BENCH_engine.json`.
     pub fn to_json_string(&self) -> String {
-        use decay_scenario::json::{obj, s, JsonValue};
+        use decay_core::json::{obj, s, JsonValue};
         let row_array =
             |cells: &[String]| JsonValue::Array(cells.iter().map(|c| s(c)).collect::<Vec<_>>());
         obj(vec![

@@ -116,7 +116,6 @@ mod engine;
 mod event;
 pub mod probe;
 mod rng;
-mod shard;
 pub mod telemetry;
 
 pub use adapter::SlotAdapter;

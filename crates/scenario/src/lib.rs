@@ -107,7 +107,6 @@
 
 mod channel;
 pub mod golden;
-pub mod json;
 mod metrics;
 pub mod probes;
 pub mod runlog;
@@ -117,9 +116,9 @@ mod spec;
 mod topology;
 
 pub use decay_channel::{AdaptiveContention, ZetaSample};
+pub use decay_core::json::{JsonError, JsonValue};
 pub use decay_engine::probe::{Controller, Directive, PauseCtx, Probe, Tunable, WindowedPrr};
 pub use decay_engine::PrrWindowSample;
-pub use json::{JsonError, JsonValue};
 pub use metrics::{MetricsCollector, MetricsReport, BUCKET_LABELS, LATENCY_BUCKETS};
 pub use probes::{DigestProbe, MetricsProbe};
 pub use runlog::{

@@ -26,9 +26,6 @@
 //!   five engine-side counters, ζ(t), PRR windows, deliveries,
 //!   directives) is derived from the event trace or the gain values,
 //!   never from backend-side caching behavior.
-//! * **Thread-invariant** — SINR lanes are an execution knob; runlogs
-//!   are byte-identical at every `threads` value, and the spec
-//!   signature deliberately excludes the `backend`/`threads` keys.
 //! * **Resume-invariant modulo the marker** — a run split by a
 //!   checkpoint/restore cycle produces the identical byte stream plus
 //!   one `resume` line. Counter deltas are accumulated across the
@@ -42,9 +39,8 @@
 //! # Span timelines
 //!
 //! Orthogonally to the runlog, [`chrome_trace_json`] renders the
-//! engine's recorded [`SpanEvent`]s (per-shard `shard_scan` /
-//! `shard_pairs` / `resolve_shard` lanes plus the `dispatch` /
-//! `resolve` / `row_build` phase timers) as Chrome Trace Event JSON,
+//! engine's recorded [`SpanEvent`]s (the `dispatch` / `resolve` /
+//! `row_build` phase timers) as Chrome Trace Event JSON,
 //! loadable in [Perfetto](https://ui.perfetto.dev) or
 //! `chrome://tracing`. Spans only exist on the `telemetry-timing`
 //! feature and are wall-clock by nature: nothing about them is part of
@@ -57,9 +53,9 @@ use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer
 use decay_engine::probe::{Directive, PauseCtx};
 use decay_engine::{EngineStats, Tick};
 
-use crate::json::{self, int, num, obj, s, JsonValue};
 use crate::runner::ScenarioReport;
 use crate::spec::{ProtocolSpec, ScenarioSpec};
+use decay_core::json::{self, int, num, obj, s, JsonValue};
 
 /// The format tag every runlog's `run_start` record carries.
 pub const RUNLOG_FORMAT: &str = "decay-runlog-v1";
@@ -852,13 +848,12 @@ pub fn diff(a: &str, b: &str) -> Result<Option<String>, String> {
 /// Renders recorded spans as Chrome Trace Event JSON (the `X` complete
 /// event form), loadable in Perfetto or `chrome://tracing`. Timestamps
 /// are microseconds since the process's span epoch; each recording
-/// thread gets its own `tid` row, and shard-phase spans carry their
-/// lane index in `args.lane`.
+/// thread gets its own `tid` row.
 pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
     let events: Vec<JsonValue> = spans
         .iter()
         .map(|span| {
-            let mut fields = vec![
+            obj(vec![
                 ("name", s(span.name)),
                 ("cat", s("engine")),
                 ("ph", s("X")),
@@ -866,11 +861,7 @@ pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
                 ("dur", num(span.dur_ns as f64 / 1_000.0)),
                 ("pid", int(1)),
                 ("tid", int(u64::from(span.tid))),
-            ];
-            if let Some(lane) = span.lane {
-                fields.push(("args", obj(vec![("lane", int(u64::from(lane)))])));
-            }
-            obj(fields)
+            ])
         })
         .collect();
     obj(vec![
@@ -1043,16 +1034,14 @@ mod tests {
     fn chrome_trace_renders_and_validates() {
         let spans = [
             SpanEvent {
-                name: "resolve_shard",
+                name: "resolve",
                 tid: 3,
-                lane: Some(1),
                 start_ns: 1_500,
                 dur_ns: 2_000,
             },
             SpanEvent {
                 name: "dispatch",
                 tid: 1,
-                lane: None,
                 start_ns: 0,
                 dur_ns: 10_000,
             },
@@ -1062,14 +1051,7 @@ mod tests {
         let v = json::parse(&text).unwrap();
         let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
         assert_eq!(events[0].get("ts").and_then(JsonValue::as_f64), Some(1.5));
-        assert_eq!(
-            events[0]
-                .get("args")
-                .and_then(|a| a.get("lane"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert!(events[1].get("args").is_none());
+        assert_eq!(events[1].get("tid").and_then(JsonValue::as_u64), Some(1));
         assert!(validate_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
     }
 }

@@ -171,7 +171,7 @@ fn realize(
 /// Holds the deployed point set (shared with every backend the
 /// compilation builds), the protocol plan, and the spec signature —
 /// the same [`spec_signature`] the runlog header records, with the
-/// execution knobs (`backend`, `threads`) excluded. It is `Send + Sync`,
+/// execution knob (`backend`) excluded. It is `Send + Sync`,
 /// so one compilation can feed concurrent sessions; [`ScenarioCache`]
 /// memoizes compilations by signature.
 pub struct CompiledScenario {
@@ -245,8 +245,8 @@ impl CompiledScenario {
     }
 
     /// The spec signature ([`spec_signature`]): the cache key, and the
-    /// `spec_sig` the runlog header records. Execution knobs (`backend`,
-    /// `threads`) are excluded — they select *how* to run, not *what*.
+    /// `spec_sig` the runlog header records. The execution knob
+    /// (`backend`) is excluded — it selects *how* to run, not *what*.
     pub fn signature(&self) -> u64 {
         self.sig
     }
@@ -271,11 +271,10 @@ impl CompiledScenario {
 /// returns the same `Arc<CompiledScenario>` — the deployment, protocol
 /// plan, and resolved trace are shared, not rebuilt — and bumps the
 /// `compile_hits` telemetry counter. Because the key excludes the
-/// execution knobs (`backend`, `threads`), a hit may return a
-/// compilation whose stored spec carries *different* knobs than the
-/// submitted one: pass the run's knobs through
-/// [`RunOptions::backend`] / [`RunOptions::threads`] instead of relying
-/// on the cached spec's.
+/// execution knob (`backend`), a hit may return a compilation whose
+/// stored spec carries a *different* backend than the submitted one:
+/// pass the run's backend through [`RunOptions::backend`] instead of
+/// relying on the cached spec's.
 pub struct ScenarioCache {
     inner: Mutex<CacheState>,
     telemetry: Counters,
@@ -402,7 +401,6 @@ trait EngineHarness: Send {
     fn prr(&self) -> f64;
     fn stats(&self) -> EngineStats;
     fn len(&self) -> usize;
-    fn threads(&self) -> usize;
     fn channel_signature(&self) -> u64;
     fn scan_stats(&self) -> Option<ScanStatsReport>;
     fn checkpoint_bytes(&mut self) -> Vec<u8>;
@@ -414,7 +412,6 @@ trait EngineHarness: Send {
     fn restore(&mut self, bytes: &[u8], controller_sig: u64) -> Result<(), ScenarioError>;
     fn set_controller_signature(&mut self, sig: u64);
     fn enable_event_log(&mut self, keep: usize);
-    fn set_threads(&mut self, threads: usize);
     fn note_queue_high_water(&mut self, mark: u64);
     fn arm_span_recording(&mut self);
     fn take_spans(&mut self) -> Vec<SpanEvent>;
@@ -474,10 +471,6 @@ where
         self.engine().len()
     }
 
-    fn threads(&self) -> usize {
-        self.engine().config().threads
-    }
-
     fn channel_signature(&self) -> u64 {
         self.engine().backend().channel_signature()
     }
@@ -522,10 +515,6 @@ where
         self.engine_mut().enable_event_log(keep);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.engine_mut().set_threads(threads);
-    }
-
     fn note_queue_high_water(&mut self, mark: u64) {
         self.engine_mut().note_queue_high_water(mark);
     }
@@ -544,8 +533,7 @@ where
 }
 
 /// Builds the protocol's engine + completion/PRR closures behind the
-/// erased harness. `config` already carries the session's resolved lane
-/// count.
+/// erased harness.
 fn build_harness(
     compiled: &Arc<CompiledScenario>,
     backend: BackendSpec,
@@ -708,7 +696,6 @@ pub struct RunSession<'a, 'p> {
     harness: Box<dyn EngineHarness>,
     horizon: Tick,
     ci: Tick,
-    threads: usize,
     metrics: MetricsProbe,
     monitor: Option<MetricityMonitor>,
     windowed_prr: Option<WindowedPrr>,
@@ -740,7 +727,6 @@ impl fmt::Debug for RunSession<'_, '_> {
         f.debug_struct("RunSession")
             .field("scenario", &self.compiled.spec.name)
             .field("horizon", &self.horizon)
-            .field("threads", &self.threads)
             .field("parked", &self.harness.is_parked())
             .field("breakpoint", &self.breakpoint)
             .finish()
@@ -753,7 +739,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
     /// pause. `opts.resume_at` becomes the initial breakpoint; the
     /// execution knobs in `opts` override the spec's (that is how a
     /// cached compilation — keyed without knobs — runs under the
-    /// submitted spec's backend and lane count).
+    /// submitted spec's backend).
     ///
     /// # Errors
     ///
@@ -766,9 +752,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
     ) -> Result<RunSession<'a, 'p>, ScenarioError> {
         let spec = compiled.spec();
         let backend = opts.backend.unwrap_or(spec.backend);
-        let threads = opts.threads.unwrap_or(spec.threads);
-        let mut config = spec.engine_config();
-        config.threads = threads;
+        let config = spec.engine_config();
 
         // The controller, when the spec declares one, is part of the
         // trace-defining configuration: its identity is folded into
@@ -810,7 +794,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
         let mut session = RunSession {
             horizon: spec.horizon,
             ci: spec.check_interval,
-            threads,
             compiled,
             harness,
             metrics: MetricsProbe::new(),
@@ -894,17 +877,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
     /// Panics if the session is parked.
     pub fn now(&self) -> Tick {
         self.harness.now()
-    }
-
-    /// The lane count the engine is currently configured with (the
-    /// session re-applies it after every [`Self::resume`], since the
-    /// checkpoint codec deliberately excludes execution knobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session is parked.
-    pub fn engine_threads(&self) -> usize {
-        self.harness.threads()
     }
 
     /// Whether the session is parked (engine dropped, awaiting
@@ -1005,9 +977,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
 
     /// Restores a parked session onto a freshly rebuilt backend and
     /// re-applies everything the checkpoint codec deliberately
-    /// excludes: the flight-recorder ring, the session's lane count,
-    /// the carried queue high-water mark, and span arming. This is the
-    /// single place spec threads are re-applied after a restore.
+    /// excludes: the flight-recorder ring, the carried queue
+    /// high-water mark, and span arming.
     ///
     /// # Errors
     ///
@@ -1042,11 +1013,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
         }
         self.parked_events = Vec::new();
         self.harness.enable_event_log(FLIGHT_KEEP_EVENTS);
-        // Execution knobs live outside the checkpoint: the codec
-        // decodes `threads: 1`, so re-apply the session's lane count
-        // (the trace is bit-identical at every value, so this cannot
-        // fork the run).
-        self.harness.set_threads(self.threads);
         self.harness.note_queue_high_water(self.prior_high_water);
         if self.trace_spans.is_some() {
             self.harness.arm_span_recording();
@@ -1099,7 +1065,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
                 .unwrap_or_default(),
             self.telemetry.into_samples(),
             scan_stats,
-            self.threads,
             self.harness.channel_signature(),
         );
         let report = ScenarioReport {
@@ -1147,7 +1112,6 @@ mod tests {
             name: name.to_string(),
             seed,
             horizon: 32,
-            threads: 1,
             check_interval: 8,
             topology: TopologySpec::Line {
                 n: 8,
@@ -1208,7 +1172,6 @@ mod tests {
             tile_size: 4,
             max_tiles: 2,
         };
-        re_knobbed.threads = 4;
         let first = cache.compile(spec).expect("compiles");
         let second = cache.compile(re_knobbed).expect("compiles");
         assert_eq!(cache.compile_hits(), 1);

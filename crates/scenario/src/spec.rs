@@ -25,7 +25,7 @@ use decay_netsim::{FaultPlan, ReceptionModel};
 use decay_sinr::SinrParams;
 use serde::{Deserialize, Serialize};
 
-use crate::json::{self, int, num, obj, s, JsonError, JsonValue};
+use decay_core::json::{self, int, num, obj, s, JsonError, JsonValue};
 
 /// A named node layout. Every topology is a point deployment with
 /// geometric decay `f(u, v) = dist(u, v)^alpha`; the names map onto the
@@ -350,11 +350,6 @@ pub struct ScenarioSpec {
     /// ζ(t)-adaptive scheduling, if any (`None` = the spec's fixed
     /// probabilities for the whole run).
     pub adaptive: Option<AdaptiveSpec>,
-    /// SINR resolution lanes (default 1 = serial). Purely an execution
-    /// knob: traces, digests, and checkpoints are bit-identical at
-    /// every value, so two specs differing only here describe the same
-    /// run (and the field is omitted from JSON when 1).
-    pub threads: usize,
 }
 
 /// A spec that failed validation or decoding.
@@ -1067,7 +1062,6 @@ const SPEC_FIELDS: &[&str] = &[
     "channel",
     "prr_window",
     "adaptive",
-    "threads",
 ];
 
 /// FNV tag domain-separating [`spec_signature`] from the other
@@ -1076,17 +1070,17 @@ const SPEC_FIELDS: &[&str] = &[
 const SPEC_SIG_TAG: u64 = 0x5350_4543_5349_4731; // "SPECSIG1"
 
 /// FNV-1a fingerprint of the spec's *trace-defining* configuration:
-/// the canonical compact JSON with the `backend` and `threads` keys
-/// removed, because both are execution knobs the determinism contract
-/// promises cannot change the run. Two specs with equal signatures
+/// the canonical compact JSON with the `backend` key removed, because
+/// the backend is an execution knob the determinism contract promises
+/// cannot change the run. Two specs with equal signatures
 /// must produce byte-identical runlogs — which is also what makes the
 /// signature the [`ScenarioCache`](crate::ScenarioCache) key: a cached
 /// [`CompiledScenario`](crate::CompiledScenario) is reusable across
-/// every backend and lane count.
+/// every backend.
 pub fn spec_signature(spec: &ScenarioSpec) -> u64 {
     let mut v = spec.to_json();
     if let JsonValue::Object(pairs) = &mut v {
-        pairs.retain(|(k, _)| k != "backend" && k != "threads");
+        pairs.retain(|(k, _)| k != "backend");
     }
     decay_engine::probe::signature_hash(SPEC_SIG_TAG, v.compact().as_bytes())
 }
@@ -1161,9 +1155,6 @@ impl ScenarioSpec {
         }
         if let Some(a) = self.adaptive {
             pairs.push(("adaptive", a.to_json()));
-        }
-        if self.threads != 1 {
-            pairs.push(("threads", int(self.threads as u64)));
         }
         obj(pairs)
     }
@@ -1283,10 +1274,6 @@ impl ScenarioSpec {
                 None | Some(JsonValue::Null) => None,
                 Some(av) => Some(AdaptiveSpec::from_json(av, "adaptive")?),
             },
-            threads: match v.get("threads") {
-                None | Some(JsonValue::Null) => 1,
-                Some(_) => get_usize(v, "", "threads")?,
-            },
         };
         spec.validate()?;
         Ok(spec)
@@ -1366,7 +1353,6 @@ impl ScenarioSpec {
             jamming: self.jamming,
             faults,
             record_trace: true,
-            threads: self.threads,
         }
     }
 
@@ -1394,9 +1380,6 @@ impl ScenarioSpec {
         }
         if self.check_interval == 0 {
             return bad("check_interval", "must be at least one tick");
-        }
-        if self.threads == 0 || self.threads > 256 {
-            return bad("threads", "must be in [1, 256]");
         }
         // Every integer in a spec must survive the JSON number round
         // trip (f64 mantissa), or a spec written by `to_json_string`
@@ -1447,6 +1430,16 @@ impl ScenarioSpec {
                     return bad("topology", "size and alpha must be positive and finite");
                 }
             }
+        }
+        // Every pairwise decay dist^alpha lies between these two; an
+        // `inf` or `0` there would reach the compiled backends.
+        let (near, far) = self.topology.distance_range();
+        let alpha = self.topology.alpha();
+        if !positive(near.powf(alpha)) || !positive(far.powf(alpha)) {
+            return bad(
+                "topology.alpha",
+                "dist^alpha over the deployment's extent must be positive and finite",
+            );
         }
         if let BackendSpec::Tiled {
             tile_size,
@@ -1796,7 +1789,6 @@ mod tests {
             seed: 7,
             horizon: 500,
             check_interval: 32,
-            threads: 1,
             topology: TopologySpec::Line {
                 n: 16,
                 spacing: 1.0,
@@ -1924,6 +1916,25 @@ mod tests {
         let mut bad = base.clone();
         bad.seed = u64::MAX;
         assert!(bad.validate().is_err());
+
+        // A path-loss exponent whose decay overflows across the line
+        // (16 nodes at spacing 1: 15^400 = inf).
+        let mut bad = base.clone();
+        bad.topology = TopologySpec::Line {
+            n: 16,
+            spacing: 1.0,
+            alpha: 400.0,
+        };
+        let err = bad.validate().unwrap_err();
+        assert_eq!(err.path, "topology.alpha", "{err}");
+
+        // `threads` is not a spec key: resolve is serial.
+        let mut v = base.to_json();
+        if let JsonValue::Object(pairs) = &mut v {
+            pairs.push(("threads".to_string(), int(2)));
+        }
+        let err = ScenarioSpec::from_json(&v).unwrap_err();
+        assert!(err.path.contains("threads"), "{err}");
 
         // Absurd topology sizes fail cleanly instead of overflowing.
         let mut bad = base;

@@ -50,6 +50,28 @@ impl TopologySpec {
         }
     }
 
+    /// Lower and upper bounds on the distance between two deployed
+    /// points: the guaranteed separation of the constructor, and the
+    /// diagonal of the box the deployment (and mobility within it)
+    /// occupies.
+    pub fn distance_range(&self) -> (f64, f64) {
+        let diagonal = std::f64::consts::SQRT_2;
+        match *self {
+            TopologySpec::Line { n, spacing, .. } => (spacing, spacing * (n - 1) as f64),
+            TopologySpec::Grid { side, spacing, .. } => {
+                (spacing, spacing * (side - 1) as f64 * diagonal)
+            }
+            TopologySpec::Ring { n, radius, .. } => (
+                2.0 * radius * (std::f64::consts::PI / n as f64).sin(),
+                2.0 * radius,
+            ),
+            TopologySpec::Random { n, size, .. } => (size / (100.0 * n as f64), size * diagonal),
+            // Members scatter up to `size / 20` around their centers, and
+            // coincident members are nudged at least 1e-9 apart.
+            TopologySpec::Clustered { size, .. } => (1e-9, 1.1 * size * diagonal),
+        }
+    }
+
     /// The fully materialized decay space (used by the dense backend and
     /// by the netsim-equivalence harness).
     ///
@@ -158,7 +180,6 @@ mod tests {
             name: "t".to_string(),
             seed: 1,
             horizon: 10 as Tick,
-            threads: 1,
             check_interval: 4,
             topology,
             backend: BackendSpec::Lazy,

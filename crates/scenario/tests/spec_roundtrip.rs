@@ -181,8 +181,6 @@ fn spec_from_knobs(k: [u64; 8]) -> ScenarioSpec {
         name: format!("rt-{}_{}", k[0] % 97, k[1] % 89),
         seed: k[0],
         horizon: 1 + k[2] % 100_000,
-        // 1 is omitted from the JSON form; >1 must round-trip.
-        threads: 1 + (k[3] % 4) as usize,
         check_interval,
         topology: topology(k[3], n),
         backend: match k[4] % 3 {
@@ -325,4 +323,24 @@ fn generator_yields_mostly_valid_specs() {
         "only {with_trace} inline + {with_trace_path} path trace specs"
     );
     assert!(with_adaptive > 10, "only {with_adaptive} adaptive specs");
+}
+
+/// A shipped spec with an extreme path-loss exponent looks valid field
+/// by field, but its decay overflows across the deployment (the random
+/// 12×12 box's diagonal to the 400th power is `inf`). Validation must
+/// refuse it up front — from JSON and from a hand-built struct — rather
+/// than let the compiled channel panic on the first run.
+#[test]
+fn overflowing_decay_is_rejected_before_compile() {
+    let path = decay_scenario::golden::scenario_dir().join("drift_mobility_storm.json");
+    let text = std::fs::read_to_string(&path).expect("shipped spec is readable");
+    let mut spec = ScenarioSpec::from_json_str(&text).expect("shipped spec parses");
+    let TopologySpec::Random { alpha, .. } = &mut spec.topology else {
+        panic!("drift_mobility_storm deploys a random topology");
+    };
+    *alpha = 400.0;
+    let err = spec.validate().expect_err("inf decay must not validate");
+    assert_eq!(err.path, "topology.alpha", "{err}");
+    assert!(ScenarioSpec::from_json_str(&spec.to_json_string()).is_err());
+    assert!(decay_scenario::ScenarioRunner::new(spec).is_err());
 }

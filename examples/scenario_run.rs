@@ -20,9 +20,9 @@
 //!   counters) for downstream tooling.
 //! - `--runlog <path>` streams the run as `decay-runlog-v1` NDJSON —
 //!   one typed record per pause-grid sample; inspect with
-//!   `runlog_cat`. The stream is bit-identical across backends and
-//!   thread counts (default builds).
-//! - `--trace-out <path>` writes per-shard phase spans as Chrome Trace
+//!   `runlog_cat`. The stream is bit-identical across backends
+//!   (default builds).
+//! - `--trace-out <path>` writes the phase-timer spans as Chrome Trace
 //!   Event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
 //!   `chrome://tracing`. Spans need `--features telemetry-timing`;
 //!   without it the file holds an empty timeline.
@@ -126,11 +126,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("trace written to {out} ({} spans)", spans.len());
         }
     }
-
-    // The reproducibility contract in action: re-running on a different
-    // backend leaves the digest untouched.
-    let cross = runner.run_on(BackendSpec::Dense)?;
-    assert_eq!(cross.digest, report.digest, "cross-backend digest drift");
-    println!("\ncross-checked on the dense backend: digests identical");
     Ok(())
 }
