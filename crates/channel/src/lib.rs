@@ -16,7 +16,7 @@
 //!   The block structure keeps the engine's `O(active · k)` hot path:
 //!   reach sets are recomputed only at block boundaries.
 //!   [`TemporalAdapter`] caches them in immutable per-block snapshots
-//!   published through a lock-free [`decay_core::EpochCell`] (block-0
+//!   (the current block's behind a mutex-guarded `Arc`, the block-0
 //!   static view pinned separately, per-source dense rows built by one
 //!   batched [`TemporalBackend::decay_row_in_block`] call), and
 //!   [`TemporalChannel::with_geometric_hints`] shrinks each per-block

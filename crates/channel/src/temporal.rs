@@ -15,13 +15,14 @@
 //! what deployment-time computations (broadcast neighborhoods, link
 //! viability) see.
 //!
-//! # Epoch snapshots
+//! # Block snapshots
 //!
-//! Per-block state lives in immutable [`BlockSnapshot`]s published
-//! through a lock-free [`decay_core::EpochCell`], not behind a mutex:
-//! the block-0 snapshot is pinned for the adapter's lifetime and the
-//! current block's snapshot is swapped in at block boundaries, so
-//! interleaved static-view and tick-aware queries (monitor sampling,
+//! Per-block state lives in immutable [`BlockSnapshot`]s. The block-0
+//! snapshot is pinned for the adapter's lifetime; the current block's
+//! snapshot is a mutex-guarded `Arc`, swapped at block boundaries and
+//! cloned out so the lock is never held across a row build or a
+//! backend evaluation. Because the two are separate pins, interleaved
+//! static-view and tick-aware queries (monitor sampling,
 //! deployment-time neighborhood checks mid-run) can never invalidate
 //! each other's cache — the thrash that once forced an `O(n)` rescan
 //! per call. Within a snapshot, each touched source gets one immutable
@@ -32,10 +33,10 @@
 //! most once per (block, pair).
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use decay_core::telemetry::{Counter, Counters, Timer};
-use decay_core::{EpochCell, NodeId};
+use decay_core::NodeId;
 use decay_engine::{DecayBackend, Tick};
 
 use crate::draw::mix;
@@ -163,8 +164,7 @@ impl SourceRow {
 /// The immutable per-block snapshot: one lazily built [`SourceRow`] per
 /// touched source. Snapshots are never mutated after a row is built —
 /// rows fill in exactly once through their `OnceLock` — so readers need
-/// no synchronization beyond the `EpochCell` load that handed them the
-/// snapshot.
+/// no synchronization beyond the lock that handed them the snapshot.
 struct BlockSnapshot {
     block: u64,
     rows: Box<[OnceLock<Box<SourceRow>>]>,
@@ -195,8 +195,10 @@ pub struct TemporalAdapter {
     n: usize,
     /// The pinned block-0 snapshot backing the static view.
     block0: Arc<BlockSnapshot>,
-    /// The current block's snapshot, swapped at block boundaries.
-    current: EpochCell<BlockSnapshot>,
+    /// The current block's snapshot, swapped at block boundaries. The
+    /// lock only guards the `Arc` itself: callers clone it out (or read
+    /// one row) and release the lock before building or evaluating.
+    current: Mutex<Arc<BlockSnapshot>>,
     /// All node ids in order, built once — unbounded-reach
     /// (`reach: None`) lists are sliced out of it per call (two
     /// memcpys around the source) instead of re-filtering `0..n`, and
@@ -211,14 +213,13 @@ pub struct TemporalAdapter {
 
 /// Compile-time `Send + Sync` audit: the adapter moves between worker
 /// threads when a run session is parked and resumed, so its whole cache
-/// machinery (`EpochCell`, `OnceLock` rows, telemetry sink) must be
+/// machinery (snapshot lock, `OnceLock` rows, telemetry sink) must be
 /// thread-safe. If a field regresses, this stops compiling.
 #[allow(dead_code)]
 fn _assert_adapter_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TemporalAdapter>();
     assert_send_sync::<BlockSnapshot>();
-    assert_send_sync::<decay_core::EpochCell<BlockSnapshot>>();
 }
 
 impl TemporalAdapter {
@@ -234,7 +235,7 @@ impl TemporalAdapter {
         TemporalAdapter {
             inner: Box::new(inner),
             n,
-            current: EpochCell::new(Arc::clone(&block0)),
+            current: Mutex::new(Arc::clone(&block0)),
             block0,
             all_nodes: OnceLock::new(),
             telemetry: Counters::new(),
@@ -261,24 +262,26 @@ impl TemporalAdapter {
         }
     }
 
-    /// The snapshot for `block`, publishing a fresh one if the current
-    /// block moved on. Block 0 is pinned and never republished.
+    /// Locks the current-block slot. The slot is a single `Arc`, so a
+    /// panic under the lock cannot leave it half-written and a
+    /// poisoned lock is safe to reuse.
+    fn current(&self) -> MutexGuard<'_, Arc<BlockSnapshot>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The snapshot for `block`, swapping in a fresh one if the current
+    /// block moved on. Block 0 is pinned and never swapped.
     fn snapshot(&self, block: u64) -> Arc<BlockSnapshot> {
         if block == 0 {
             return Arc::clone(&self.block0);
         }
-        let current = self.current.load();
+        let mut current = self.current();
         self.telemetry.add(Counter::EpochLoads, 1);
-        if current.block == block {
-            return current;
+        if current.block != block {
+            self.telemetry.add(Counter::EpochSwaps, 1);
+            *current = Arc::new(BlockSnapshot::empty(block, self.n));
         }
-        let n = self.n;
-        self.current.update_if(|cur| {
-            (cur.block != block).then(|| {
-                self.telemetry.add(Counter::EpochSwaps, 1);
-                Arc::new(BlockSnapshot::empty(block, n))
-            })
-        })
+        Arc::clone(&current)
     }
 
     /// Evaluates one candidate window against the instantaneous field.
@@ -404,18 +407,24 @@ impl DecayBackend for TemporalAdapter {
             return self.decay(from, to);
         }
         // Serve from the current snapshot's row when it covers the
-        // pair; never publish from this path (a stale-block probe — a
+        // pair; never swap from this path (a stale-block probe — a
         // monitor replaying history — must not evict the current
-        // block's rows).
-        let current = self.current.load();
-        self.telemetry.add(Counter::EpochLoads, 1);
-        if current.block == block {
-            if let Some(row) = current.rows[from.index()].get() {
-                if let Some(d) = row.lookup(from, to) {
-                    self.telemetry.add(Counter::RowHits, 1);
-                    return d;
-                }
+        // block's rows). The guard drops before any fallback
+        // evaluation.
+        let cached = {
+            let current = self.current();
+            self.telemetry.add(Counter::EpochLoads, 1);
+            if current.block == block {
+                current.rows[from.index()]
+                    .get()
+                    .and_then(|row| row.lookup(from, to))
+            } else {
+                None
             }
+        };
+        if let Some(d) = cached {
+            self.telemetry.add(Counter::RowHits, 1);
+            return d;
         }
         self.inner.decay_in_block(block, from, to)
     }

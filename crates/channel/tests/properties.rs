@@ -1,13 +1,17 @@
 //! Integration properties: an unmodified `decay-engine` running over
 //! temporal channels keeps every determinism guarantee the static
 //! backends have — bit-identical reruns, checkpoint/resume invariance
-//! (now with channel-signature verification), and bit-identical gain
-//! replay through the JSON trace format.
+//! (now with channel-signature verification), bit-identical gain
+//! replay through the JSON trace format, and one adapter shared across
+//! threads answering exactly as a serial one.
+
+use std::sync::Barrier;
 
 use decay_channel::{
     FadingConfig, GainTrace, MetricityMonitor, MobilityConfig, MobilityModel, ShadowingConfig,
     TemporalAdapter, TemporalChannel, TraceChannel,
 };
+use decay_core::telemetry::Counter;
 use decay_core::NodeId;
 use decay_engine::{
     Checkpoint, DecayBackend, DenseBackend, Engine, EngineConfig, EngineError, EventBehavior,
@@ -187,6 +191,70 @@ fn monitor_sees_drift_under_a_temporal_channel() {
         moving.windows(2).any(|w| w[0] != w[1]),
         "temporal ζ(t) never moved: {moving:?}"
     );
+}
+
+/// `TemporalAdapter` is `Sync` (the engine's `DecayBackend` bound), so
+/// one adapter shared across threads must answer exactly as a serial
+/// one does — same reach lists, same decays bit for bit — and still
+/// build each (block, source) row once, however the threads race for
+/// the block swap and the row cells.
+#[test]
+fn shared_adapter_matches_a_serial_one() {
+    const THREADS: usize = 4;
+    // Block 3 at block_len 3: the current-block slot, not the pinned
+    // block-0 snapshot.
+    const TICK: u64 = 9;
+    let reach = Some(16.0);
+    // Every source's reach list, then its decays to every node; the
+    // starting source rotates so threads contend on different rows.
+    let query = |a: &TemporalAdapter, start: usize| {
+        let mut answers: Vec<(usize, Vec<NodeId>, Vec<u64>)> = (0..N)
+            .map(|k| {
+                let i = (start + k) % N;
+                let from = NodeId::new(i);
+                let rx = a.potential_receivers_at(TICK, from, reach);
+                let decays = (0..N)
+                    .map(|j| a.decay_at(TICK, from, NodeId::new(j)).to_bits())
+                    .collect();
+                (i, rx, decays)
+            })
+            .collect();
+        answers.sort_by_key(|&(i, _, _)| i);
+        answers
+    };
+    let count = |a: &TemporalAdapter, c: Counter| a.telemetry().expect("adapter counts").get(c);
+
+    let serial = stormy_channel(7, 3);
+    let expected = query(&serial, 0);
+    let shared = stormy_channel(7, 3);
+    // All threads leave the barrier together, so they race for the
+    // block swap and the first rows.
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (shared, start) = (&shared, &start);
+                s.spawn(move || {
+                    start.wait();
+                    query(shared, t * N / THREADS)
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().expect("query thread"), expected);
+        }
+    });
+    assert_eq!(
+        count(&serial, Counter::RowsBuilt),
+        N as u64,
+        "one row per source"
+    );
+    assert_eq!(
+        count(&shared, Counter::RowsBuilt),
+        count(&serial, Counter::RowsBuilt),
+        "each row is built once"
+    );
+    assert_eq!(count(&shared, Counter::EpochSwaps), 1, "one block swap");
 }
 
 /// One of the three static bases realizing the geometric line field

@@ -58,10 +58,11 @@ pub enum Counter {
     RowPairs,
     /// Queries served from an already-built `SourceRow` (cache hits).
     RowHits,
-    /// `EpochCell` snapshot publishes (a new block snapshot was built
-    /// and swapped in).
+    /// Current-block snapshot swaps in `TemporalAdapter` (the block
+    /// moved on and a fresh, empty snapshot replaced the old one).
     EpochSwaps,
-    /// `EpochCell` snapshot loads (readers pinning the current block).
+    /// Current-block snapshot lock acquisitions in `TemporalAdapter`
+    /// (a tick-aware query reading the current block).
     EpochLoads,
     /// Compiled-scenario cache hits: submissions served an existing
     /// `CompiledScenario` instead of rebuilding topology/backend state.

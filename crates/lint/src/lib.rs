@@ -34,7 +34,7 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &Config) -> rules::CheckRe
 /// (scopes + the committed atomics-ordering table).
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let mut cfg = Config::workspace();
-    let table_path = root.join("crates/lint/data/atomic-orderings.txt");
+    let table_path = root.join(rules::ORDERING_TABLE);
     let table = std::fs::read_to_string(&table_path)
         .map_err(|e| format!("cannot read {}: {e}", table_path.display()))?;
     cfg.parse_table(&table)?;
@@ -42,6 +42,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let files = walk::rust_sources(root)?;
     let mut report = Report {
         files_scanned: files.len(),
+        violations: rules::stale_table_rows(&cfg, &files),
         ..Report::default()
     };
     for rel in files {

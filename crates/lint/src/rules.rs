@@ -6,7 +6,7 @@
 //! | D1 `hash-iteration`   | no `HashMap`/`HashSet` in trace-affecting crates without an attested keyed-lookup-only annotation; iteration over them is always flagged |
 //! | D2 `wall-clock`       | no `Instant::now` / `SystemTime` outside `telemetry-timing`-gated code or annotated report-only sites |
 //! | D3 `ambient-entropy`  | no `thread_rng` / `rand::random` / `from_entropy` / `OsRng` anywhere — randomness flows from seeds |
-//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink; `epoch.rs` orderings must match the checked-in table |
+//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink; every other ordering must match a row of the checked-in table, and every row must name a scanned file |
 //! | D5 `unsafe-safety`    | every `unsafe` carries a `// SAFETY:` comment |
 //! | D6 `unordered-reduce` | iterator reductions in resolve/merge paths must be annotated order-deterministic |
 //!
@@ -24,6 +24,9 @@ pub const RULE_UNSAFE_SAFETY: &str = "unsafe-safety";
 pub const RULE_UNORDERED_REDUCE: &str = "unordered-reduce";
 /// Meta-rule: malformed / unjustified / unknown-rule annotations.
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
+
+/// The checked-in D4 ordering table, relative to the workspace root.
+pub const ORDERING_TABLE: &str = "crates/lint/data/atomic-orderings.txt";
 
 /// Every rule an `allow(...)` may name.
 pub const ALL_RULES: [&str; 7] = [
@@ -71,6 +74,8 @@ pub struct TableEntry {
     pub op: String,
     pub ordering: String,
     pub count: usize,
+    /// The row's 1-based line in the table file.
+    pub line: usize,
 }
 
 /// Scopes and the D4 ordering table.
@@ -133,6 +138,7 @@ impl Config {
                 op: fields[1].to_string(),
                 ordering: fields[2].to_string(),
                 count,
+                line: n + 1,
             });
         }
         Ok(())
@@ -191,6 +197,7 @@ pub fn check_file(model: &FileModel, cfg: &Config) -> CheckResult {
     let mut raw: Vec<Violation> = Vec::new();
 
     rule_ambient_entropy(model, &mut raw);
+    rule_atomic_ordering(model, cfg, &mut raw);
     if let FileKind::CrateSrc(krate) = &kind {
         if cfg.d1_crates.iter().any(|c| c == krate) {
             rule_hash_iteration(model, &mut raw);
@@ -198,7 +205,6 @@ pub fn check_file(model: &FileModel, cfg: &Config) -> CheckResult {
         if !cfg.d2_excluded_crates.iter().any(|c| c == krate) {
             rule_wall_clock(model, &mut raw);
         }
-        rule_atomic_ordering(model, cfg, &mut raw);
         rule_unsafe_safety(model, &mut raw);
         if cfg.d6_files.iter().any(|f| f == &model.rel_path) {
             rule_unordered_reduce(model, &mut raw);
@@ -498,15 +504,18 @@ const ATOMIC_OPS: [&str; 14] = [
     "compare_exchange_weak",
 ];
 
-/// D4: the atomics-ordering audit.
+/// D4: the atomics-ordering audit, over every scanned file.
 ///
 /// * `Ordering::Relaxed` is reserved for the telemetry counter sink
 ///   (`Config::d4_relaxed_files`) — telemetry orders nothing, but a
 ///   relaxed atomic anywhere else is a correctness smell.
-/// * Files listed in the checked-in table (`epoch.rs`) must
-///   use exactly the `(op, ordering)` multiset the table records; any
-///   drift — a new atomic, a weakened ordering — fails until the table
-///   (and its written justification) is updated.
+/// * Every other ordering must be audited: a file's atomics must match
+///   exactly the `(op, ordering)` multiset its table rows record, and a
+///   file with no rows may use none. Any drift — a new atomic, a
+///   weakened ordering — fails until the table (and its written
+///   justification) is updated.
+/// * Every table row must name a file the walk scanned
+///   ([`stale_table_rows`]), so rows cannot outlive their code.
 fn rule_atomic_ordering(model: &FileModel, cfg: &Config, out: &mut Vec<Violation>) {
     let audited: Vec<&TableEntry> = cfg
         .d4_table
@@ -549,9 +558,6 @@ fn rule_atomic_ordering(model: &FileModel, cfg: &Config, out: &mut Vec<Violation
         }
     }
 
-    if audited.is_empty() {
-        return;
-    }
     // Multiset comparison against the table.
     for entry in &audited {
         let got = seen
@@ -570,25 +576,49 @@ fn rule_atomic_ordering(model: &FileModel, cfg: &Config, out: &mut Vec<Violation
                 line,
                 format!(
                     "ordering audit: expected {} `{}` with `Ordering::{}`, found {} — update \
-                     crates/lint/data/atomic-orderings.txt with a written why if intentional",
+                     {ORDERING_TABLE} with a written why if intentional",
                     entry.count, entry.op, entry.ordering, got
                 ),
             ));
         }
     }
     for (op, ord, line) in &seen {
-        if !audited.iter().any(|e| e.op == *op && e.ordering == *ord) {
+        // A file without rows may only use the sink's `Relaxed`
+        // (checked above); a file with rows must list everything.
+        let unaudited_relaxed = audited.is_empty() && ord == "Relaxed";
+        if !unaudited_relaxed && !audited.iter().any(|e| e.op == *op && e.ordering == *ord) {
             out.push(violation(
                 RULE_ATOMIC_ORDERING,
                 model,
                 *line,
                 format!(
                     "ordering audit: `{op}` with `Ordering::{ord}` is not in the checked-in \
-                     table — add it to crates/lint/data/atomic-orderings.txt with a written why"
+                     table — add it to {ORDERING_TABLE} with a written why"
                 ),
             ));
         }
     }
+}
+
+/// D4, workspace half: table rows naming a file outside `scanned` (the
+/// walked files) — a deleted, moved or misspelled audited file.
+pub fn stale_table_rows(cfg: &Config, scanned: &[String]) -> Vec<Violation> {
+    cfg.d4_table
+        .iter()
+        .filter(|e| !scanned.contains(&e.file))
+        .map(|e| Violation {
+            rule: RULE_ATOMIC_ORDERING,
+            path: ORDERING_TABLE.to_string(),
+            line: e.line,
+            module_path: String::new(),
+            message: format!(
+                "ordering audit: the table names `{}`, which is not a scanned file — delete \
+                 the row (and its why) or fix the path",
+                e.file
+            ),
+            snippet: format!("{} {} {} {}", e.file, e.op, e.ordering, e.count),
+        })
+        .collect()
 }
 
 /// The nearest atomic method call preceding an `Ordering` token.

@@ -2,11 +2,13 @@
 //! annotated site passes, and out-of-scope code (tests, timing-gated
 //! regions, excluded crates) is exempt.
 
+use std::path::PathBuf;
+
 use decay_lint::rules::{
-    Config, RULE_ALLOW_SYNTAX, RULE_AMBIENT_ENTROPY, RULE_ATOMIC_ORDERING, RULE_HASH_ITERATION,
-    RULE_UNORDERED_REDUCE, RULE_UNSAFE_SAFETY, RULE_WALL_CLOCK,
+    Config, ORDERING_TABLE, RULE_ALLOW_SYNTAX, RULE_AMBIENT_ENTROPY, RULE_ATOMIC_ORDERING,
+    RULE_HASH_ITERATION, RULE_UNORDERED_REDUCE, RULE_UNSAFE_SAFETY, RULE_WALL_CLOCK,
 };
-use decay_lint::{lint_source, Violation};
+use decay_lint::{lint_source, lint_workspace, Violation};
 
 fn cfg() -> Config {
     Config::workspace()
@@ -271,6 +273,53 @@ fn d4_weakened_ordering_is_flagged_both_ways() {
     let r = lint_source("crates/core/src/fixture.rs", src, &c);
     let rules = rules_of(&r.violations);
     assert_eq!(rules, vec![RULE_ATOMIC_ORDERING, RULE_ATOMIC_ORDERING]);
+}
+
+#[test]
+fn d4_ordering_in_a_file_without_rows_is_flagged() {
+    // No table row for either file: crate sources and support files
+    // (benches, examples, the benchmark) alike must be audited.
+    let src = "fn f(c: &AtomicBool) {\n    c.store(true, Ordering::SeqCst);\n}\n";
+    for path in ["crates/engine/src/x.rs", "perfbench/src/x.rs"] {
+        let r = lint_source(path, src, &cfg());
+        assert_eq!(
+            rules_of(&r.violations),
+            vec![RULE_ATOMIC_ORDERING],
+            "{path}"
+        );
+        assert_eq!(r.violations[0].line, 2);
+        assert!(r.violations[0]
+            .message
+            .contains("`store` with `Ordering::SeqCst`"));
+    }
+}
+
+#[test]
+fn d4_table_row_naming_an_unscanned_file_is_flagged() {
+    // A two-file tree whose table still lists a deleted file.
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("d4-stale-row");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("crates/lint/data")).expect("mkdir");
+    std::fs::create_dir_all(root.join("crates/core/src")).expect("mkdir");
+    std::fs::write(
+        root.join("crates/core/src/cell.rs"),
+        "fn f(p: &AtomicPtr<u8>, q: *mut u8) {\n    p.swap(q, Ordering::SeqCst);\n}\n",
+    )
+    .expect("write source");
+    std::fs::write(
+        root.join(ORDERING_TABLE),
+        "crates/core/src/cell.rs swap SeqCst 1  # live\ncrates/core/src/gone.rs swap SeqCst 1  # deleted\n",
+    )
+    .expect("write table");
+    let report = lint_workspace(&root).expect("fixture tree lints");
+    assert_eq!(rules_of(&report.violations), vec![RULE_ATOMIC_ORDERING]);
+    let v = &report.violations[0];
+    assert_eq!((v.path.as_str(), v.line), (ORDERING_TABLE, 2));
+    assert!(
+        v.message.contains("`crates/core/src/gone.rs`"),
+        "{}",
+        v.message
+    );
 }
 
 #[test]

@@ -74,7 +74,7 @@
 //! `decay_engine::probe` API: metrics, the ζ(t) monitor, the windowed
 //! PRR series (`prr_window`), and golden-digest capture are all
 //! read-only [`Probe`]s fed one shared pause stream, and
-//! [`ScenarioRunner::run_instrumented`] lets callers attach their own.
+//! [`ScenarioRunner::run_with_options`] lets callers attach their own.
 //! The `adaptive` block compiles to a [`AdaptiveContention`]
 //! [`Controller`] whose grid-aligned decisions re-tune every node's
 //! transmit probability from a live ζ(t) estimate; controller identity

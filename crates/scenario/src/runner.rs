@@ -288,7 +288,9 @@ impl ScenarioRunner {
     /// not present (a binary deployed outside its build checkout), the
     /// current working directory. The loaded trace is inlined, so the
     /// rest of the pipeline never touches the filesystem. Callers that
-    /// know their root should prefer [`Self::new_with_root`].
+    /// know their root should compile with
+    /// [`CompiledScenario::compile_with_root`] and wrap the result with
+    /// [`Self::from_compiled`].
     ///
     /// # Errors
     ///
@@ -297,22 +299,6 @@ impl ScenarioRunner {
     pub fn new(spec: ScenarioSpec) -> Result<Self, ScenarioError> {
         Ok(ScenarioRunner {
             compiled: Arc::new(CompiledScenario::compile(spec)?),
-        })
-    }
-
-    /// [`Self::new`] with an explicit root directory for
-    /// `channel.trace_path` resolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first validation failure, including an unreadable or
-    /// malformed gain-trace file.
-    pub fn new_with_root(
-        spec: ScenarioSpec,
-        root: &std::path::Path,
-    ) -> Result<Self, ScenarioError> {
-        Ok(ScenarioRunner {
-            compiled: Arc::new(CompiledScenario::compile_with_root(spec, root)?),
         })
     }
 
@@ -368,47 +354,32 @@ impl ScenarioRunner {
     /// `0 < split < horizon`, and an error if the engine rejects the
     /// configuration or the checkpoint fails to round-trip.
     pub fn run_with_resume(&self, split: Tick) -> Result<ScenarioReport, ScenarioError> {
-        self.run_instrumented(self.spec().backend, Some(split), &mut [])
+        self.run_with_options(
+            RunOptions {
+                resume_at: Some(split),
+                ..RunOptions::default()
+            },
+            &mut [],
+        )
     }
 
-    /// The fully general entry point: runs on `backend`, optionally
-    /// with a checkpoint/restore cycle at `resume_at`, feeding every
+    /// The fully general entry point: runs on the backend and with the
+    /// checkpoint/restore split [`RunOptions`] names, feeding every
     /// probe in `extra` the same pause stream the built-in probes
-    /// (metrics, ζ(t) monitor, windowed PRR, digest capture) observe.
-    /// Probes are read-only, so attaching any subset leaves the digest
-    /// and the ζ(t) series bit-identical — the probe-transparency
-    /// proptest under `tests/` enforces it.
+    /// (metrics, ζ(t) monitor, windowed PRR, digest capture) observe,
+    /// and attaching any observability sinks the options carry (a
+    /// `decay-runlog-v1` writer, a span-timeline sink, a
+    /// flight-recorder dump writer). Probes and sinks are read-only
+    /// pause-grid observers, so attaching any subset leaves the digest,
+    /// the metrics series, the ζ(t) series and the runlog bytes
+    /// bit-identical — the probe-transparency proptest under `tests/`
+    /// enforces it.
     ///
     /// # Errors
     ///
     /// Everything [`Self::run_on`] and [`Self::run_with_resume`] can
-    /// return.
-    pub fn run_instrumented(
-        &self,
-        backend: BackendSpec,
-        resume_at: Option<Tick>,
-        extra: &mut [&mut dyn Probe],
-    ) -> Result<ScenarioReport, ScenarioError> {
-        self.run_with_options(
-            RunOptions {
-                backend: Some(backend),
-                resume_at,
-                ..RunOptions::default()
-            },
-            extra,
-        )
-    }
-
-    /// [`Self::run_instrumented`] plus the observability sinks: attach
-    /// a `decay-runlog-v1` writer, a span-timeline sink, and/or a
-    /// flight-recorder dump writer via [`RunOptions`]. All sinks are
-    /// pause-grid observers — attaching any subset leaves the digest,
-    /// the metrics series, and the runlog bytes unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run_instrumented`] can return, plus
-    /// [`ScenarioError::RunLog`] when an attached writer fails.
+    /// return, plus [`ScenarioError::RunLog`] when an attached writer
+    /// fails.
     pub fn run_with_options<'a>(
         &self,
         opts: RunOptions<'a>,
