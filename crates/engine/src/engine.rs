@@ -18,8 +18,7 @@
 //! `O(n)`, and the decay matrix behind it may be lazy.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,6 +30,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::DecayBackend;
+use crate::calendar::CalendarQueue;
 use crate::codec::{Codec, CodecError};
 use crate::event::{Event, QueuedEvent, Tick};
 use crate::rng::EngineRng;
@@ -432,6 +432,14 @@ pub enum EngineError {
         /// The signature of the supplied controller.
         found: u64,
     },
+    /// The checkpoint supplied to [`Engine::restore`] decodes but holds
+    /// state no engine run can produce (an event queued before the
+    /// clock, a reused sequence number, a node id out of range), so
+    /// resuming it would panic or silently rewind the clock.
+    CorruptCheckpoint {
+        /// What was inconsistent.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -452,6 +460,7 @@ impl fmt::Display for EngineError {
                 "checkpoint was taken under controller signature {expected:#x}, \
                  but the supplied controller declares {found:#x}"
             ),
+            EngineError::CorruptCheckpoint { reason } => write!(f, "corrupt checkpoint: {reason}"),
         }
     }
 }
@@ -761,6 +770,67 @@ impl<B> Checkpoint<B> {
     pub fn controller_signature(&self) -> u64 {
         self.controller
     }
+
+    /// Checks the invariants of every checkpoint an engine writes: the
+    /// per-node vectors agree on the node count, every queued event
+    /// fires no earlier than the clock and has a distinct sequence
+    /// number below the next one to be handed out, and every node id
+    /// names a node.
+    fn check_consistency(&self) -> Result<(), EngineError> {
+        let corrupt = |reason: String| Err(EngineError::CorruptCheckpoint { reason });
+        let n = self.modes.len();
+        let lens = [
+            self.incarnations.len(),
+            self.rngs.len(),
+            self.behaviors.len(),
+        ];
+        if lens != [n; 3] {
+            let [incarnations, rngs, behaviors] = lens;
+            return corrupt(format!(
+                "{n} node modes but {incarnations} incarnations, {rngs} RNG streams \
+                 and {behaviors} behaviors"
+            ));
+        }
+        let out_of_range = |node: NodeId| node.index() >= n;
+        let mut seqs = Vec::with_capacity(self.queue.len());
+        for qe in &self.queue {
+            if qe.tick < self.now {
+                return corrupt(format!(
+                    "event seq {} queued at tick {}, before the clock at {}",
+                    qe.seq, qe.tick, self.now
+                ));
+            }
+            if qe.seq >= self.seq {
+                return corrupt(format!(
+                    "queued event seq {} is not below the next seq {}",
+                    qe.seq, self.seq
+                ));
+            }
+            let bad_node = match qe.event {
+                Event::Wake { node, .. } => out_of_range(node),
+                Event::Deliver { to, from, .. } => out_of_range(to) || out_of_range(from),
+                Event::ChurnStep | Event::Resolve => false,
+            };
+            if bad_node {
+                return corrupt(format!(
+                    "queued event seq {} names a node outside 0..{n}",
+                    qe.seq
+                ));
+            }
+            seqs.push(qe.seq);
+        }
+        seqs.sort_unstable();
+        if let Some(pair) = seqs.windows(2).find(|pair| pair[0] == pair[1]) {
+            return corrupt(format!("two queued events share seq {}", pair[0]));
+        }
+        if let Some(&(node, _, _)) = self.pending_tx.iter().find(|tx| out_of_range(tx.0)) {
+            return corrupt(format!(
+                "pending transmission from node {} outside 0..{n}",
+                node.index()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl<B: Codec> Checkpoint<B> {
@@ -792,7 +862,7 @@ pub struct Engine<B> {
     config: EngineConfig,
     now: Tick,
     seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: CalendarQueue,
     /// Transmissions of the current tick, awaiting resolution.
     pending_tx: Vec<(NodeId, f64, u64)>,
     resolve_scheduled: bool,
@@ -887,7 +957,7 @@ impl<B: EventBehavior> Engine<B> {
             params,
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: CalendarQueue::new(0),
             pending_tx: Vec::new(),
             resolve_scheduled: false,
             modes: vec![NodeMode::Sleeping; n],
@@ -930,7 +1000,9 @@ impl<B: EventBehavior> Engine<B> {
     /// # Errors
     ///
     /// Returns an error if the backend's node count or channel signature
-    /// does not match the checkpoint.
+    /// does not match the checkpoint, or
+    /// [`EngineError::CorruptCheckpoint`] if the checkpoint holds state
+    /// no engine run can produce.
     pub fn restore(
         backend: impl DecayBackend + 'static,
         checkpoint: Checkpoint<B>,
@@ -947,6 +1019,9 @@ impl<B: EventBehavior> Engine<B> {
                 found: backend.channel_signature(),
             });
         }
+        checkpoint.check_consistency()?;
+        let mut queue = checkpoint.queue;
+        queue.sort();
         let mut engine = Engine {
             backend: Box::new(backend),
             behaviors: checkpoint.behaviors,
@@ -954,7 +1029,7 @@ impl<B: EventBehavior> Engine<B> {
             config: checkpoint.config,
             now: checkpoint.now,
             seq: checkpoint.seq,
-            queue: checkpoint.queue.into_iter().map(Reverse).collect(),
+            queue: CalendarQueue::from_sorted(checkpoint.now, queue),
             pending_tx: checkpoint.pending_tx,
             resolve_scheduled: checkpoint.resolve_scheduled,
             modes: checkpoint.modes,
@@ -1012,7 +1087,8 @@ impl<B: EventBehavior> Engine<B> {
     where
         B: Clone,
     {
-        let mut queue: Vec<QueuedEvent> = self.queue.iter().map(|Reverse(qe)| qe.clone()).collect();
+        let mut queue = Vec::with_capacity(self.queue.len());
+        queue.extend(self.queue.iter());
         queue.sort();
         Checkpoint {
             version: CHECKPOINT_VERSION,
@@ -1045,16 +1121,12 @@ impl<B: EventBehavior> Engine<B> {
         let mut dispatched = 0u64;
         // Timers at batch granularity only: one Dispatch span per drive
         // step (resolve time nested inside it) and one Resolve span per
-        // resolution round. Per-event clock reads would cost ~25% of
-        // the 3.8M ev/s static path; this costs two reads per rare
-        // event kind and keeps the enabled-timing overhead within the
-        // CI budget.
+        // resolution round. Per-event clock reads would cost at least a
+        // quarter of the static path's time; this costs two reads per
+        // rare event kind and keeps the enabled-timing overhead within
+        // the CI budget.
         let drive = self.telemetry.timer_start();
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.tick > end {
-                break;
-            }
-            let Reverse(qe) = self.queue.pop().expect("peeked");
+        while let Some(qe) = self.queue.pop_through(end) {
             self.now = qe.tick;
             self.stats.events += 1;
             dispatched += 1;
@@ -1249,7 +1321,7 @@ impl<B: EventBehavior> Engine<B> {
     fn push_event(&mut self, tick: Tick, event: Event) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent::new(tick, seq, event)));
+        self.queue.push(tick, seq, event);
         let depth = self.queue.len() as u64;
         if depth > self.stats.queue_high_water {
             self.stats.queue_high_water = depth;

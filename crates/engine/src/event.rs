@@ -1,11 +1,12 @@
-//! The event queue: a priority queue over [`Tick`]s with a total,
-//! deterministic ordering.
+//! Events and their total, deterministic firing order.
 //!
-//! Events at the same tick are ordered by *class* — churn first, then
-//! wakes, then reception resolution, then deliveries — and within a class
-//! by insertion sequence number. The ordering is part of the engine's
-//! determinism contract: two runs with the same seed push the same events
-//! in the same order and therefore pop them in the same order.
+//! A [`QueuedEvent`] fires in `(tick, class, seq)` order: by [`Tick`],
+//! then by *class* — churn first, then wakes, then reception resolution,
+//! then deliveries — then by insertion sequence number. The ordering is
+//! part of the engine's determinism contract: two runs with the same
+//! seed push the same events in the same order and therefore pop them in
+//! the same order. The engine's calendar queue (`calendar.rs`) keeps
+//! exactly this order.
 
 use std::cmp::Ordering;
 
@@ -54,7 +55,7 @@ pub enum Event {
 
 impl Event {
     /// Intra-tick ordering class (lower fires first).
-    fn class(&self) -> u8 {
+    pub(crate) fn class(&self) -> u8 {
         match self {
             Event::ChurnStep => 0,
             Event::Wake { .. } => 1,
@@ -88,7 +89,7 @@ impl QueuedEvent {
         }
     }
 
-    fn key(&self) -> (Tick, u8, u64) {
+    pub(crate) fn key(&self) -> (Tick, u8, u64) {
         (self.tick, self.class, self.seq)
     }
 }

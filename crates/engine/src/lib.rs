@@ -111,6 +111,7 @@
 
 mod adapter;
 mod backend;
+mod calendar;
 pub mod codec;
 mod engine;
 mod event;
@@ -120,6 +121,10 @@ pub mod telemetry;
 
 pub use adapter::SlotAdapter;
 pub use backend::{DecayBackend, DecayFn, DenseBackend, LazyBackend, NeighborFn, TiledBackend};
+/// The engine's event queue, exported only so the differential order
+/// test (`tests/queue_order.rs`) can drive it; not part of the API.
+#[doc(hidden)]
+pub use calendar::CalendarQueue;
 pub use codec::{Codec, CodecError};
 pub use engine::{
     Checkpoint, ChurnConfig, DeliveryRecord, Engine, EngineConfig, EngineError, EngineStats,

@@ -5,8 +5,9 @@
 
 use decay_core::NodeId;
 use decay_engine::{
-    Checkpoint, ChurnConfig, Codec, CodecError, DenseBackend, Engine, EngineConfig, EventBehavior,
-    JamSchedule, LatencyModel, LazyBackend, NodeCtx, SlotAdapter, Tick,
+    Checkpoint, ChurnConfig, Codec, CodecError, DenseBackend, Engine, EngineConfig, EngineError,
+    Event, EventBehavior, JamSchedule, LatencyModel, LazyBackend, NodeCtx, NodeMode, QueuedEvent,
+    SlotAdapter, Tick,
 };
 use decay_netsim::{Action, FaultPlan, NodeBehavior, ReceptionModel, SlotContext};
 use decay_sinr::SinrParams;
@@ -343,6 +344,251 @@ fn slot_adapter_runs_netsim_behaviors() {
         .sum();
     assert_eq!(total_received as u64, stats.deliveries);
     assert_eq!(total_acks as u64, stats.deliveries);
+}
+
+/// A [`Chirper`] that sometimes naps for [`NAP`] ticks instead of 1–3,
+/// so some of its wakes sit far beyond the engine queue's near window.
+#[derive(Debug, Clone, PartialEq)]
+struct Napper {
+    chirper: Chirper,
+    naps: u64,
+}
+
+/// Long enough that a nap wake lands far outside any near-term window.
+const NAP: Tick = 5000;
+
+impl EventBehavior for Napper {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.chirper.on_start(ctx);
+    }
+
+    fn on_wake(&mut self, ctx: &mut NodeCtx<'_>) {
+        if ctx.node.index() == 2 && ctx.rng.gen_range(0.0..1.0) < 0.05 {
+            self.naps += 1;
+            ctx.wake_at(ctx.now + NAP);
+        } else {
+            self.chirper.on_wake(ctx);
+        }
+    }
+
+    fn on_receive(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, message: u64, power: f64) {
+        self.chirper.on_receive(ctx, from, message, power);
+    }
+
+    fn on_transmit_result(&mut self, ctx: &mut NodeCtx<'_>, receivers: &[NodeId]) {
+        self.chirper.on_transmit_result(ctx, receivers);
+    }
+}
+
+impl Codec for Napper {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.chirper.encode(out);
+        self.naps.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Napper {
+            chirper: Chirper::decode(input)?,
+            naps: u64::decode(input)?,
+        })
+    }
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Events far past the queue's near window — a fault outage that ends at
+/// slot 1100, a permanent crash, and 5000-tick naps — keep their exact
+/// order, and so do checkpoints taken while they are queued. The trace
+/// hash and checkpoint bytes are pinned to the values the engine's
+/// original binary-heap queue produced.
+#[test]
+fn far_future_events_keep_their_order() {
+    let n = 6;
+    let cfg = EngineConfig {
+        latency: LatencyModel::Jittered { base: 0, jitter: 3 },
+        faults: FaultPlan::none()
+            .with_outage(NodeId::new(1), 20, 1100)
+            .with_crash(NodeId::new(3), 50),
+        record_trace: true,
+        ..EngineConfig::default()
+    };
+    let build = || {
+        Engine::new(
+            line_backend(n),
+            (0..n)
+                .map(|_| Napper {
+                    chirper: Chirper::new(0.4),
+                    naps: 0,
+                })
+                .collect(),
+            SinrParams::new(1.0, 0.05).unwrap(),
+            cfg.clone(),
+            17,
+        )
+        .unwrap()
+    };
+    let mut original = build();
+    original.run_until(700);
+    let bytes = original.checkpoint().to_bytes();
+    let queued = CheckpointHead::split(&bytes).queue;
+    assert!(
+        queued.iter().any(|qe| qe.tick >= 700 + 256),
+        "nothing queued far ahead"
+    );
+    original.run_until(8000);
+    assert!(
+        original.behavior(NodeId::new(2)).naps > 0,
+        "node 2 never napped"
+    );
+
+    let decoded: Checkpoint<Napper> = Checkpoint::from_bytes(&bytes).unwrap();
+    let mut resumed = Engine::restore(line_backend(n), decoded).unwrap();
+    resumed.run_until(8000);
+    assert_eq!(resumed.trace_hash(), original.trace_hash());
+    assert_eq!(resumed.checkpoint(), original.checkpoint());
+
+    assert_eq!(original.stats().events, 34_116);
+    assert_eq!(original.trace_hash(), 0x0aaf_a14f_5681_76b5);
+    assert_eq!(fnv1a(&bytes), 0xc058_dac0_7f5c_dda8);
+}
+
+/// Checkpoint bytes split at the queue: the fields up to and including
+/// `pending_tx` decoded, so a test can rewrite them, and the rest kept as
+/// bytes.
+struct CheckpointHead {
+    /// Magic, version, channel and controller signatures.
+    prefix: Vec<u8>,
+    now: Tick,
+    seq: u64,
+    queue: Vec<QueuedEvent>,
+    pending_tx: Vec<(NodeId, f64, u64)>,
+    rest: Vec<u8>,
+}
+
+impl CheckpointHead {
+    fn split(bytes: &[u8]) -> Self {
+        let (prefix, mut input) = bytes.split_at(4 + 4 + 8 + 8);
+        CheckpointHead {
+            prefix: prefix.to_vec(),
+            now: Tick::decode(&mut input).unwrap(),
+            seq: u64::decode(&mut input).unwrap(),
+            queue: Codec::decode(&mut input).unwrap(),
+            pending_tx: Codec::decode(&mut input).unwrap(),
+            rest: input.to_vec(),
+        }
+    }
+
+    fn join(&self) -> Vec<u8> {
+        let mut out = self.prefix.clone();
+        self.now.encode(&mut out);
+        self.seq.encode(&mut out);
+        self.queue.encode(&mut out);
+        self.pending_tx.encode(&mut out);
+        out.extend_from_slice(&self.rest);
+        out
+    }
+}
+
+/// Checkpoint bytes of an `n`-node run stopped at `at`, with fixed
+/// latency so deliveries are queued too.
+fn checkpoint_bytes(n: usize, at: Tick) -> Vec<u8> {
+    let mut engine = build(n, 9, &config_from(false, false, 1));
+    engine.run_until(at);
+    engine.checkpoint().to_bytes()
+}
+
+/// `bytes` decode, but restoring them is refused as corrupt rather than
+/// panicking or resuming.
+fn assert_restore_refused(n: usize, bytes: &[u8]) {
+    let decoded = Checkpoint::<Chirper>::from_bytes(bytes).expect("bytes decode");
+    match Engine::restore(line_backend(n), decoded) {
+        Err(EngineError::CorruptCheckpoint { reason }) => assert!(!reason.is_empty()),
+        Err(other) => panic!("expected a corrupt-checkpoint error, got {other}"),
+        Ok(_) => panic!("a corrupt checkpoint restored"),
+    }
+}
+
+#[test]
+fn restore_refuses_an_event_queued_before_the_clock() {
+    let bytes = checkpoint_bytes(6, 20);
+    let mut head = CheckpointHead::split(&bytes);
+    assert_eq!(head.join(), bytes);
+    head.queue[0].tick = head.now - 1;
+    assert_restore_refused(6, &head.join());
+}
+
+#[test]
+fn restore_refuses_a_queued_seq_at_or_past_the_next_seq() {
+    let mut head = CheckpointHead::split(&checkpoint_bytes(6, 20));
+    let last = head.queue.len() - 1;
+    head.queue[last].seq = head.seq;
+    assert_restore_refused(6, &head.join());
+}
+
+#[test]
+fn restore_refuses_two_queued_events_sharing_a_seq() {
+    let mut head = CheckpointHead::split(&checkpoint_bytes(6, 20));
+    head.queue[1].seq = head.queue[0].seq;
+    assert_restore_refused(6, &head.join());
+}
+
+#[test]
+fn restore_refuses_a_wake_for_a_node_out_of_range() {
+    let mut head = CheckpointHead::split(&checkpoint_bytes(6, 20));
+    let wake = head
+        .queue
+        .iter_mut()
+        .find_map(|qe| match &mut qe.event {
+            Event::Wake { node, .. } => Some(node),
+            _ => None,
+        })
+        .expect("a queued wake");
+    *wake = NodeId::new(6);
+    assert_restore_refused(6, &head.join());
+}
+
+#[test]
+fn restore_refuses_a_delivery_to_a_node_out_of_range() {
+    let mut head = CheckpointHead::split(&checkpoint_bytes(6, 20));
+    let to = head
+        .queue
+        .iter_mut()
+        .find_map(|qe| match &mut qe.event {
+            Event::Deliver { to, .. } => Some(to),
+            _ => None,
+        })
+        .expect("a queued delivery");
+    *to = NodeId::new(u32::MAX as usize);
+    assert_restore_refused(6, &head.join());
+}
+
+#[test]
+fn restore_refuses_a_pending_transmission_from_a_node_out_of_range() {
+    let mut head = CheckpointHead::split(&checkpoint_bytes(6, 20));
+    head.pending_tx.push((NodeId::new(6), 1.0, 0));
+    assert_restore_refused(6, &head.join());
+}
+
+#[test]
+fn restore_refuses_per_node_state_of_different_lengths() {
+    let mut head = CheckpointHead::split(&checkpoint_bytes(6, 20));
+    let mut input = &head.rest[..];
+    let resolve_scheduled = bool::decode(&mut input).unwrap();
+    let modes = Vec::<NodeMode>::decode(&mut input).unwrap();
+    let mut incarnations = Vec::<u32>::decode(&mut input).unwrap();
+    incarnations.pop();
+    let mut rest = Vec::new();
+    resolve_scheduled.encode(&mut rest);
+    modes.encode(&mut rest);
+    incarnations.encode(&mut rest);
+    rest.extend_from_slice(input);
+    head.rest = rest;
+    assert_restore_refused(6, &head.join());
 }
 
 /// Lazy and dense backends over the same decay function produce the same
