@@ -17,6 +17,7 @@ use std::time::Instant;
 use decay_channel::{
     FadingConfig, MobilityConfig, MobilityModel, ShadowingConfig, TemporalAdapter, TemporalChannel,
 };
+use decay_core::telemetry::Counter;
 use decay_core::NodeId;
 use decay_engine::{DecayBackend, Engine, EngineConfig, EventBehavior, LazyBackend, NodeCtx};
 use decay_sinr::SinrParams;
@@ -240,8 +241,9 @@ pub fn e39_hint_window() -> Table {
                     == full.potential_receivers_at(tick, from, Some(reach));
             }
         }
-        let stats = hinted.scan_stats();
-        let pairs_per_scan = stats.pairs as f64 / stats.scans.max(1) as f64;
+        let sink = hinted.telemetry().expect("temporal adapters count");
+        let scans = sink.get(Counter::RowsBuilt);
+        let pairs_per_scan = sink.get(Counter::RowPairs) as f64 / scans.max(1) as f64;
         all_exact &= exact;
         all_narrow &= pairs_per_scan < n as f64 / 2.0;
         t.push_row(vec![
@@ -249,7 +251,7 @@ pub fn e39_hint_window() -> Table {
             format!("{speed:.1}"),
             n.to_string(),
             blocks.to_string(),
-            stats.scans.to_string(),
+            scans.to_string(),
             format!("{pairs_per_scan:.0}"),
             n.to_string(),
             fmt_ok(exact),

@@ -96,5 +96,5 @@ pub use fading::FadingConfig;
 pub use mobility::{MobilityConfig, MobilityModel};
 pub use monitor::{sample, MetricityMonitor, ZetaSample};
 pub use shadowing::ShadowingConfig;
-pub use temporal::{ScanStats, TemporalAdapter, TemporalBackend};
+pub use temporal::{TemporalAdapter, TemporalBackend};
 pub use trace::{GainFrame, GainTrace, TraceChannel, TraceError};

@@ -101,18 +101,6 @@ pub(crate) fn signature_of(words: &[u64]) -> u64 {
     mix(words).max(1)
 }
 
-/// Reach-scan counters for one [`TemporalAdapter`] (cumulative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScanStats {
-    /// Reach scans performed (row builds plus uncached wide-reach
-    /// scans) — at most one per (block, source) on the cached path.
-    pub scans: u64,
-    /// Total candidate pairs evaluated across those scans. Dividing by
-    /// `scans` gives the effective candidate-window width; without
-    /// structured hints it is `n`.
-    pub pairs: u64,
-}
-
 /// One source's immutable per-block row cache.
 struct SourceRow {
     /// Sorted candidate ids the row covers; `None` means every node
@@ -252,16 +240,6 @@ impl TemporalAdapter {
         tick / self.inner.block_len()
     }
 
-    /// Cumulative reach-scan counters (diagnostic; see E39). A view
-    /// over the adapter's telemetry sink: `scans` is rows built,
-    /// `pairs` the summed candidate-window widths.
-    pub fn scan_stats(&self) -> ScanStats {
-        ScanStats {
-            scans: self.telemetry.get(Counter::RowsBuilt),
-            pairs: self.telemetry.get(Counter::RowPairs),
-        }
-    }
-
     /// Locks the current-block slot. The slot is a single `Arc`, so a
     /// panic under the lock cannot leave it half-written and a
     /// poisoned lock is safe to reuse.
@@ -380,7 +358,8 @@ impl fmt::Debug for TemporalAdapter {
             .field("n", &self.inner.len())
             .field("block_len", &self.inner.block_len())
             .field("signature", &self.inner.signature())
-            .field("scan_stats", &self.scan_stats())
+            .field("rows_built", &self.telemetry.get(Counter::RowsBuilt))
+            .field("row_pairs", &self.telemetry.get(Counter::RowPairs))
             .finish_non_exhaustive()
     }
 }
@@ -615,7 +594,11 @@ mod tests {
         // Same list from any block — and no field evaluations at all.
         assert_eq!(a.potential_receivers_at(400, from, None), first);
         assert_eq!(a.potential_receivers(from, None), first);
-        assert_eq!(a.scan_stats().scans, 0, "reach: None never scans the field");
+        assert_eq!(
+            a.telemetry.get(Counter::RowsBuilt),
+            0,
+            "reach: None never scans the field"
+        );
     }
 
     /// A wider reach than the cached row's window answers exactly

@@ -86,5 +86,5 @@ pub use metricity::{
 pub use quasi::QuasiMetric;
 pub use separation::{greedy_separated_subset, is_separated, min_pairwise_decay};
 pub use space::{DecaySpace, NodeId, Symmetrization};
-pub use telemetry::{Counter, CounterSnapshot, Counters, Ring, SpanEvent, TelemetrySample, Timer};
+pub use telemetry::{Counter, CounterSnapshot, Counters, Ring, SpanEvent, Timer};
 pub use util::{approx_eq, lg, riemann_zeta};

@@ -1,5 +1,5 @@
 //! Hot-path telemetry: cheap always-on counters, feature-gated phase
-//! timers, and the fixed-size rings behind the flight recorder.
+//! timers, and the fixed-size ring behind the flight recorder.
 //!
 //! The paper's central claim is that realistic (temporal,
 //! non-geometric) channel models change *where the cost lives*, not
@@ -7,7 +7,7 @@
 //! every layer (engine dispatch, SINR resolution, temporal row cache,
 //! epoch snapshots) bumps a shared set of [`Counter`]s through a
 //! [`Counters`] sink, and observers diff [`CounterSnapshot`]s on the
-//! pause grid to produce per-interval [`TelemetrySample`]s.
+//! pause grid to produce per-interval counter deltas.
 //!
 //! Design constraints, in order:
 //!
@@ -132,6 +132,24 @@ impl Timer {
             Timer::Dispatch => "dispatch",
             Timer::Resolve => "resolve",
             Timer::RowBuild => "row_build",
+        }
+    }
+
+    /// The `"<timer>_ns"` JSON key of the accumulated nanoseconds.
+    pub fn ns_key(self) -> &'static str {
+        match self {
+            Timer::Dispatch => "dispatch_ns",
+            Timer::Resolve => "resolve_ns",
+            Timer::RowBuild => "row_build_ns",
+        }
+    }
+
+    /// The `"<timer>_calls"` JSON key of the recorded interval count.
+    pub fn calls_key(self) -> &'static str {
+        match self {
+            Timer::Dispatch => "dispatch_calls",
+            Timer::Resolve => "resolve_calls",
+            Timer::RowBuild => "row_build_calls",
         }
     }
 }
@@ -389,9 +407,9 @@ impl CounterSnapshot {
     /// checkpoint/restore cycle rebuilds engine and backend and zeroes
     /// their sinks. When a counter reads *below* its baseline the
     /// baseline is stale, so the delta falls back to the raw value —
-    /// counting from the restore instead of underflowing. The interval
-    /// spanning a restore therefore undercounts by whatever preceded
-    /// the split; documented in the report contract.
+    /// counting from the restore instead of underflowing. Observers
+    /// that span a restore re-baseline at zero instead (the scenario
+    /// session does), so their deltas never rely on this fallback.
     pub fn delta_since(&self, base: &CounterSnapshot) -> CounterSnapshot {
         fn diff<const N: usize>(cur: &[u64; N], base: &[u64; N]) -> [u64; N] {
             std::array::from_fn(|i| cur[i].checked_sub(base[i]).unwrap_or(cur[i]))
@@ -427,25 +445,8 @@ impl CounterSnapshot {
     }
 }
 
-/// One per-interval telemetry reading, emitted on the pause grid with
-/// the same discipline as `zeta_series` / `prr_windows`: `tick` is the
-/// grid boundary that closed the interval, `delta` holds the counter
-/// increments since the previous on-grid sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetrySample {
-    /// Pause-grid tick that closed this interval.
-    pub tick: u64,
-    /// Counter increments over the interval (engine and backend sinks
-    /// merged).
-    pub delta: CounterSnapshot,
-    /// Event-queue high-water mark observed so far (cumulative, not a
-    /// per-interval delta — a high-water mark does not difference).
-    pub queue_high_water: u64,
-}
-
 /// A fixed-capacity ring buffer: pushing beyond capacity evicts the
-/// oldest entry. Backs the flight recorder's "last N samples / last N
-/// events" windows.
+/// oldest entry. Backs the flight recorder's "last N events" window.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
     buf: VecDeque<T>,
@@ -603,6 +604,8 @@ mod tests {
         assert_eq!(Timer::ALL.len(), TIMER_COUNT);
         for (i, t) in Timer::ALL.iter().enumerate() {
             assert_eq!(*t as usize, i, "{} out of order", t.name());
+            assert_eq!(t.ns_key(), format!("{}_ns", t.name()));
+            assert_eq!(t.calls_key(), format!("{}_calls", t.name()));
         }
     }
 

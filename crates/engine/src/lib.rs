@@ -136,4 +136,4 @@ pub use probe::{
     Probe, PrrWindowSample, Tunable, WindowedPrr,
 };
 pub use rng::{geometric_gap, EngineRng};
-pub use telemetry::{dump_flight, EventKind, EventRecord, TelemetryProbe};
+pub use telemetry::{EventKind, EventRecord};

@@ -4,12 +4,12 @@
 //! # Why a probe seam
 //!
 //! Every consumer of a run — metrics collection, live ζ(t) monitoring,
-//! windowed PRR, completion checks, golden-digest capture — needs the
-//! same thing: the engine paused on a fixed tick grid, the delivery
-//! records drained since the last pause, and read access to the backend
-//! and counters. Hard-coding each consumer into its own drive loop (as
-//! the scenario runner, the bench experiments, and the examples each
-//! once did) means every new observer is a new loop. A [`Probe`] is that
+//! windowed PRR, completion checks — needs the same thing: the engine
+//! paused on a fixed tick grid, the delivery records drained since the
+//! last pause, and read access to the backend and counters.
+//! Hard-coding each consumer into its own drive loop (as the scenario
+//! runner, the bench experiments, and the examples each once did)
+//! means every new observer is a new loop. A [`Probe`] is that
 //! consumer as a value: attach any number of them to one loop and they
 //! all see the identical pause stream.
 //!
@@ -64,7 +64,6 @@
 //! decisions at the identical ticks.
 
 use decay_core::NodeId;
-use decay_netsim::PrrTracker;
 
 use crate::backend::DecayBackend;
 use crate::engine::{DeliveryRecord, Engine, EngineStats, EventBehavior};
@@ -423,10 +422,9 @@ pub struct PrrWindowSample {
     pub prr: f64,
 }
 
-/// The windowed-PRR probe: folds each pause's delivery batch into a
-/// [`decay_netsim::PrrTracker`] sliding window (for per-pair queries)
-/// and emits one [`PrrWindowSample`] per elapsed window (for the
-/// report-level series).
+/// The windowed-PRR probe: emits one [`PrrWindowSample`] per elapsed
+/// window from the engine's cumulative transmission and delivery
+/// counters.
 ///
 /// Window boundaries are fixed multiples of `window` ticks, so the
 /// emitted series is invariant to *how often* the driver pauses — an
@@ -436,45 +434,32 @@ pub struct PrrWindowSample {
 #[derive(Debug, Clone)]
 pub struct WindowedPrr {
     window: Tick,
-    tracker: PrrTracker,
     samples: Vec<PrrWindowSample>,
     /// Cumulative counters at the last emitted boundary.
     at_boundary: (u64, u64),
     /// The next boundary tick to emit at.
     next_boundary: Tick,
-    /// Deliveries of the current window, for the tracker feed.
-    pending: Vec<(NodeId, NodeId)>,
 }
 
 impl WindowedPrr {
-    /// A probe sampling every `window` ticks over `n` nodes, keeping
-    /// the last `keep_windows` windows in the pair-level tracker.
+    /// A probe sampling every `window` ticks.
     ///
     /// # Panics
     ///
-    /// Panics if `window` or `keep_windows` is zero.
-    pub fn new(n: usize, window: Tick, keep_windows: usize) -> Self {
+    /// Panics if `window` is zero.
+    pub fn new(window: Tick) -> Self {
         assert!(window > 0, "window must be at least one tick");
         WindowedPrr {
             window,
-            tracker: PrrTracker::with_window(n, keep_windows),
             samples: Vec::new(),
             at_boundary: (0, 0),
             next_boundary: window,
-            pending: Vec::new(),
         }
     }
 
     /// The window length in ticks.
     pub fn window(&self) -> Tick {
         self.window
-    }
-
-    /// The pair-level sliding-window tracker fed from the run's
-    /// delivery batches (attempts are per *delivering* transmission:
-    /// the engine trace records deliveries, not silent attempts).
-    pub fn tracker(&self) -> &PrrTracker {
-        &self.tracker
     }
 
     /// The samples emitted so far.
@@ -488,8 +473,6 @@ impl WindowedPrr {
     }
 
     fn absorb(&mut self, ctx: &PauseCtx<'_>) {
-        self.pending
-            .extend(ctx.batch.iter().map(|r| (r.from, r.to)));
         while ctx.tick >= self.next_boundary {
             // A driver that skips a boundary (window not a multiple of
             // its pause grid) would silently misattribute traffic to
@@ -521,13 +504,6 @@ impl WindowedPrr {
                 deliveries as f64 / transmissions as f64
             },
         });
-        let slot = usize::try_from(self.next_boundary / self.window).unwrap_or(usize::MAX);
-        let mut transmitters: Vec<NodeId> = self.pending.iter().map(|&(f, _)| f).collect();
-        transmitters.sort_unstable();
-        transmitters.dedup();
-        let deliveries_in_window = std::mem::take(&mut self.pending);
-        self.tracker
-            .record_window(slot, &transmitters, &deliveries_in_window);
         self.at_boundary = (stats.transmissions, stats.deliveries);
         self.next_boundary += self.window;
     }
@@ -629,7 +605,7 @@ mod tests {
 
         let mut probed = line_engine(12, 7);
         let mut rec = Recorder::default();
-        let mut prr = WindowedPrr::new(12, 25, 4);
+        let mut prr = WindowedPrr::new(25);
         let stats = drive_probed(&mut probed, 100, 25, &mut [&mut rec, &mut prr]);
         assert_eq!(probed.trace_hash(), bare_hash, "probes perturbed the run");
         assert_eq!(stats, bare_stats);
@@ -655,7 +631,7 @@ mod tests {
     fn windowed_prr_series_is_invariant_to_extra_pauses() {
         let run = |check: Tick| {
             let mut engine = line_engine(10, 3);
-            let mut prr = WindowedPrr::new(10, 20, 3);
+            let mut prr = WindowedPrr::new(20);
             drive_probed(&mut engine, 120, check, &mut [&mut prr]);
             (engine.trace_hash(), prr.into_samples())
         };

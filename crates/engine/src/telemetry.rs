@@ -1,36 +1,13 @@
-//! The [`TelemetryProbe`] and flight recorder: pause-grid sampling of
-//! the hot-path counters in [`decay_core::telemetry`], plus the "what
-//! just happened" ring dumped when a run goes wrong.
-//!
-//! # Sampling contract
-//!
-//! The probe emits one [`TelemetrySample`] per elapsed `interval`
-//! ticks, on the same pause grid as the ζ(t) series and the windowed
-//! PRR: a sample at tick `t` covers `(t - interval, t]`. Off-grid
-//! pauses (a checkpoint split, say) are ignored, so the emitted series
-//! is invariant to *how often* the driver pauses — with one documented
-//! exception: counters are observational and not checkpointed, so the
-//! interval spanning a restore undercounts by whatever preceded the
-//! split (see [`decay_core::telemetry::CounterSnapshot::delta_since`]).
-//! Trace digests, ζ(t), and PRR are unaffected either way — the probe
-//! is read-only, which the probe-transparency proptest enforces.
-//!
-//! # Flight recorder
-//!
-//! The probe keeps a fixed-size ring of the most recent samples; the
-//! engine (when [`crate::Engine::enable_event_log`] is on) keeps a ring
-//! of the most recent dispatched events. [`dump_flight`] renders both
-//! as the line-oriented `flight-recorder v1` format for bug reports on
-//! divergence or nondeterminism — cheap enough to leave armed on every
-//! scenario run.
+//! The engine half of the flight recorder: with
+//! [`crate::Engine::enable_event_log`] on, the engine keeps a ring of
+//! its most recently dispatched events as fixed-size [`EventRecord`]s.
+//! The scenario session renders them, next to the tail of its sample
+//! series, as the line-oriented `flight-recorder v1` dump when a run
+//! goes wrong — cheap enough to leave armed on every scenario run.
 
 use std::fmt;
-use std::fmt::Write as _;
-
-use decay_core::telemetry::{Counter, CounterSnapshot, Ring, TelemetrySample, Timer};
 
 use crate::event::{Event, Tick};
-use crate::probe::{PauseCtx, Probe};
 
 /// The event classes a flight-recorder entry can record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,129 +74,6 @@ impl fmt::Display for EventRecord {
     }
 }
 
-/// A read-only probe sampling the merged engine + backend counter
-/// sinks on the pause grid (see the [module docs](self) for the
-/// sampling contract). Keeps the full series for reports and a
-/// fixed-size tail for the flight recorder.
-#[derive(Debug)]
-pub struct TelemetryProbe {
-    interval: Tick,
-    baseline: CounterSnapshot,
-    last_emitted: Option<Tick>,
-    samples: Vec<TelemetrySample>,
-    flight: Ring<TelemetrySample>,
-}
-
-impl TelemetryProbe {
-    /// A probe emitting one sample per `interval` ticks, retaining the
-    /// last `flight_keep` samples in the flight ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` or `flight_keep` is zero.
-    pub fn new(interval: Tick, flight_keep: usize) -> Self {
-        assert!(interval > 0, "telemetry interval must be at least 1");
-        TelemetryProbe {
-            interval,
-            baseline: CounterSnapshot::default(),
-            last_emitted: None,
-            samples: Vec::new(),
-            flight: Ring::new(flight_keep),
-        }
-    }
-
-    /// The emitted series so far.
-    pub fn samples(&self) -> &[TelemetrySample] {
-        &self.samples
-    }
-
-    /// Consumes the probe, yielding the series.
-    pub fn into_samples(self) -> Vec<TelemetrySample> {
-        self.samples
-    }
-
-    /// The flight-recorder tail: the most recent samples, oldest
-    /// first.
-    pub fn recent(&self) -> Vec<TelemetrySample> {
-        self.flight.iter().copied().collect()
-    }
-
-    /// Engine and backend sinks merged into one snapshot (their
-    /// counter sets are disjoint).
-    fn merged(ctx: &PauseCtx<'_>) -> CounterSnapshot {
-        let engine = ctx.counters.snapshot();
-        match ctx.backend.telemetry() {
-            Some(backend) => engine.merge(&backend.snapshot()),
-            None => engine,
-        }
-    }
-
-    fn absorb(&mut self, ctx: &PauseCtx<'_>) {
-        if ctx.tick == 0
-            || !ctx.tick.is_multiple_of(self.interval)
-            || self.last_emitted == Some(ctx.tick)
-        {
-            return;
-        }
-        let now = Self::merged(ctx);
-        let sample = TelemetrySample {
-            tick: ctx.tick,
-            delta: now.delta_since(&self.baseline),
-            queue_high_water: ctx.stats.queue_high_water,
-        };
-        self.baseline = now;
-        self.last_emitted = Some(ctx.tick);
-        self.samples.push(sample);
-        self.flight.push(sample);
-    }
-}
-
-impl Probe for TelemetryProbe {
-    fn on_start(&mut self, ctx: &PauseCtx<'_>) {
-        self.baseline = Self::merged(ctx);
-    }
-
-    fn on_pause(&mut self, ctx: &PauseCtx<'_>) {
-        self.absorb(ctx);
-    }
-
-    fn on_finish(&mut self, ctx: &PauseCtx<'_>) {
-        self.absorb(ctx);
-    }
-}
-
-/// Renders the flight recorder as the line-oriented
-/// `flight-recorder v1` format: a header, one `sample` line per
-/// retained pause-grid sample (non-zero counters only), and one
-/// `event` line per retained engine event. The format is documented in
-/// the README's Observability section.
-pub fn dump_flight(samples: &[TelemetrySample], events: &[EventRecord]) -> String {
-    let mut out = String::from("flight-recorder v1\n");
-    let _ = writeln!(out, "samples {}", samples.len());
-    for s in samples {
-        let _ = write!(out, "sample tick={} qhw={}", s.tick, s.queue_high_water);
-        for c in Counter::ALL {
-            let v = s.delta.get(c);
-            if v != 0 {
-                let _ = write!(out, " {}={}", c.name(), v);
-            }
-        }
-        for t in Timer::ALL {
-            if let Some(ns) = s.delta.timer_ns(t) {
-                if ns != 0 {
-                    let _ = write!(out, " {}_ns={}", t.name(), ns);
-                }
-            }
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(out, "events {}", events.len());
-    for e in events {
-        let _ = writeln!(out, "{e}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,24 +107,5 @@ mod tests {
         assert_eq!((deliver.a, deliver.b), (1, 7));
         assert_eq!(EventRecord::of(1, &Event::Resolve).kind, EventKind::Resolve);
         assert_eq!(EventRecord::of(1, &Event::ChurnStep).kind, EventKind::Churn);
-    }
-
-    #[test]
-    fn dump_renders_versioned_lines() {
-        let sink = decay_core::telemetry::Counters::new();
-        sink.add(Counter::Events, 12);
-        let delta = sink.snapshot();
-        let samples = vec![TelemetrySample {
-            tick: 32,
-            delta: delta.delta_since(&CounterSnapshot::default()),
-            queue_high_water: 5,
-        }];
-        let events = vec![EventRecord::of(30, &Event::Resolve)];
-        let dump = dump_flight(&samples, &events);
-        assert!(dump.starts_with("flight-recorder v1\n"));
-        assert!(dump.contains("samples 1\n"));
-        assert!(dump.contains("sample tick=32 qhw=5 events=12\n"));
-        assert!(dump.contains("events 1\n"));
-        assert!(dump.contains("event tick=30 resolve\n"));
     }
 }

@@ -225,43 +225,6 @@ impl PrrTracker {
         }
     }
 
-    /// Folds one *engine-side* window of traffic into the statistics:
-    /// a whole tick window collapses onto the synthetic slot `slot`,
-    /// with the transmitters observed delivering in it and every
-    /// `(from, to)` delivery pair. Window semantics match
-    /// [`Self::record`] — slots older than `window` before `slot` are
-    /// evicted.
-    ///
-    /// This is the feed used by `decay_engine::probe::WindowedPrr`:
-    /// the event engine's delivery trace has no per-slot
-    /// [`crate::SlotReport`]s (and no record of silent attempts), so
-    /// attempts here count *delivering* transmitters per window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a delivery mentions nodes outside the tracked range.
-    pub fn record_window(
-        &mut self,
-        slot: usize,
-        transmitters: &[NodeId],
-        deliveries: &[(NodeId, NodeId)],
-    ) {
-        let report = crate::SlotReport {
-            slot,
-            transmitters: transmitters.to_vec(),
-            deliveries: deliveries
-                .iter()
-                .map(|&(from, to)| crate::Delivery {
-                    to,
-                    from,
-                    message: 0,
-                })
-                .collect(),
-            downed: Vec::new(),
-        };
-        self.record(&report);
-    }
-
     /// The sliding window length in slots (0 when windowing is off).
     pub fn window(&self) -> usize {
         self.window
@@ -648,28 +611,6 @@ mod tests {
         }
         assert_eq!(tracker.windowed_rate(from, to), 0.5, "10 of last 20");
         assert_eq!(tracker.rate(from, to), 60.0 / 110.0);
-    }
-
-    #[test]
-    fn record_window_matches_equivalent_slot_reports() {
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let mut via_reports = PrrTracker::with_window(3, 4);
-        let mut via_windows = PrrTracker::with_window(3, 4);
-        for slot in 0..6 {
-            via_reports.record(&synthetic_report(slot, slot % 2 == 0));
-            let pairs: &[(NodeId, NodeId)] = if slot % 2 == 0 { &[(a, b)] } else { &[] };
-            via_windows.record_window(slot, &[a], pairs);
-        }
-        assert_eq!(via_windows.attempts(a), via_reports.attempts(a));
-        assert_eq!(via_windows.successes(a, b), via_reports.successes(a, b));
-        assert_eq!(
-            via_windows.windowed_rate(a, b),
-            via_reports.windowed_rate(a, b)
-        );
-        assert_eq!(
-            via_windows.windowed_overall(),
-            via_reports.windowed_overall()
-        );
     }
 
     #[test]

@@ -71,10 +71,13 @@
 //! # Probes and controllers
 //!
 //! The runner's drive loop is a thin composition over the
-//! `decay_engine::probe` API: metrics, the ζ(t) monitor, the windowed
-//! PRR series (`prr_window`), and golden-digest capture are all
-//! read-only [`Probe`]s fed one shared pause stream, and
-//! [`ScenarioRunner::run_with_options`] lets callers attach their own.
+//! `decay_engine::probe` API: metrics, the ζ(t) monitor, and the
+//! windowed PRR series (`prr_window`) are all read-only [`Probe`]s fed
+//! one shared pause stream, and [`ScenarioRunner::run_with_options`]
+//! lets callers attach their own. At each runlog-grid tick the session
+//! gathers what they saw, with the counter deltas, into one
+//! [`RunSample`]: the runlog, the report's `telemetry` series, and the
+//! flight dump all read that sample.
 //! The `adaptive` block compiles to a [`AdaptiveContention`]
 //! [`Controller`] whose grid-aligned decisions re-tune every node's
 //! transmit probability from a live ζ(t) estimate; controller identity
@@ -111,6 +114,7 @@ mod metrics;
 pub mod probes;
 pub mod runlog;
 mod runner;
+mod sample;
 mod session;
 mod spec;
 mod topology;
@@ -120,11 +124,12 @@ pub use decay_core::json::{JsonError, JsonValue};
 pub use decay_engine::probe::{Controller, Directive, PauseCtx, Probe, Tunable, WindowedPrr};
 pub use decay_engine::PrrWindowSample;
 pub use metrics::{MetricsCollector, MetricsReport, BUCKET_LABELS, LATENCY_BUCKETS};
-pub use probes::{DigestProbe, MetricsProbe};
+pub use probes::MetricsProbe;
 pub use runlog::{
-    chrome_trace_json, spec_signature, RunLog, RunLogProbe, RunPhase, RunRecord, RUNLOG_FORMAT,
+    chrome_trace_json, spec_signature, RunLog, RunLogProbe, RunRecord, RUNLOG_FORMAT,
 };
 pub use runner::{RunOptions, ScenarioError, ScenarioReport, ScenarioRunner, TraceDigest};
+pub use sample::{DeliverySummary, RunSample};
 pub use session::{CompiledScenario, RunSession, ScenarioCache, SessionStep};
 pub use spec::{
     AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, FaultSpec, LinkSpec, MobilitySpec,

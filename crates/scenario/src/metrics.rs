@@ -11,10 +11,11 @@ use std::fmt;
 use std::time::Duration;
 
 use decay_channel::ZetaSample;
-use decay_core::telemetry::{Counter, Counters, TelemetrySample, Timer};
+use decay_core::telemetry::{Counter, Counters, Timer};
 use decay_engine::{DeliveryRecord, EngineStats, PrrWindowSample, Tick};
 use serde::{Deserialize, Serialize};
 
+use crate::sample::RunSample;
 use decay_core::json::{int, num, obj, s, JsonValue};
 
 /// Number of latency histogram buckets: delay 0, 1, then doubling ranges
@@ -82,11 +83,8 @@ impl MetricsCollector {
     /// was; `wall` the measured wall-clock time of the run;
     /// `zeta_series` the sampled metricity trajectory (empty when no
     /// monitor ran); `prr_windows` the windowed reception-ratio series
-    /// (empty when the spec requests none).
-    /// `telemetry` is the pause-grid counter-delta series from the
-    /// always-attached [`decay_engine::TelemetryProbe`] (empty for
-    /// hand-built reports); `scan_stats` the channel-side reach-scan
-    /// totals (`None` for static backends).
+    /// (empty when the spec requests none); `telemetry` the session's
+    /// sample series (empty for hand-built reports).
     #[allow(clippy::too_many_arguments)]
     pub fn finish(
         self,
@@ -97,8 +95,7 @@ impl MetricsCollector {
         wall: Duration,
         zeta_series: Vec<ZetaSample>,
         prr_windows: Vec<PrrWindowSample>,
-        telemetry: Vec<TelemetrySample>,
-        scan_stats: Option<ScanStatsReport>,
+        telemetry: Vec<RunSample>,
         channel_signature: u64,
     ) -> MetricsReport {
         MetricsReport {
@@ -109,7 +106,6 @@ impl MetricsCollector {
             zeta_series,
             prr_windows,
             telemetry,
-            scan_stats,
             latency_hist: self.hist,
             mean_latency: if self.observed == 0 {
                 0.0
@@ -124,40 +120,6 @@ impl MetricsCollector {
                 f64::INFINITY
             },
             stats,
-        }
-    }
-}
-
-/// Channel-side reach-scan totals, read off the temporal backend's
-/// telemetry sink at the end of a run (`None` for static backends,
-/// which never scan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScanStatsReport {
-    /// `SourceRow`s built from scratch (cold block-0 scans).
-    pub scans: u64,
-    /// Candidate pairs enumerated across all scans.
-    pub pairs: u64,
-    /// Row lookups answered from the per-block row cache.
-    pub row_hits: u64,
-}
-
-impl ScanStatsReport {
-    /// Mean candidate pairs per scan (0 when nothing scanned).
-    pub fn pairs_per_scan(&self) -> f64 {
-        if self.scans == 0 {
-            0.0
-        } else {
-            self.pairs as f64 / self.scans as f64
-        }
-    }
-
-    /// Fraction of row lookups served by the cache, in `[0, 1]`.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.scans + self.row_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
         }
     }
 }
@@ -183,15 +145,13 @@ pub struct MetricsReport {
     /// spec sets `prr_window`): per-window deliveries over
     /// transmissions, the drift view the lifetime `prr` flattens.
     pub prr_windows: Vec<PrrWindowSample>,
-    /// Per-interval telemetry counter deltas on the pause grid (the
-    /// same grid discipline as `zeta_series`). Purely observational:
-    /// never part of the trace digest, and — unlike every other series
-    /// here — *not* asserted invariant across checkpoint/resume splits
-    /// (a restore rebuilds the counter sinks, so the interval spanning
-    /// the split undercounts).
-    pub telemetry: Vec<TelemetrySample>,
-    /// Channel-side reach-scan totals (`None` for static backends).
-    pub scan_stats: Option<ScanStatsReport>,
+    /// The session's sample series: one [`RunSample`] per runlog-grid
+    /// tick (every `check_interval` multiple, plus the horizon), the
+    /// same samples the runlog serializes. Purely observational: never
+    /// part of the trace digest. Counter deltas carry across
+    /// checkpoint/restore cycles, so the engine-side counters match an
+    /// uninterrupted run and sum to the run's totals.
+    pub telemetry: Vec<RunSample>,
     /// Delivery-latency histogram over [`BUCKET_LABELS`] buckets.
     pub latency_hist: [u64; LATENCY_BUCKETS],
     /// Mean delivery latency in ticks.
@@ -265,18 +225,6 @@ impl MetricsReport {
                 JsonValue::Array(self.telemetry.iter().map(telemetry_sample_json).collect()),
             ));
         }
-        if let Some(scan) = &self.scan_stats {
-            pairs.push((
-                "scan_stats",
-                obj(vec![
-                    ("scans", int(scan.scans)),
-                    ("pairs", int(scan.pairs)),
-                    ("pairs_per_scan", num(scan.pairs_per_scan())),
-                    ("row_hits", int(scan.row_hits)),
-                    ("row_hit_rate", num(scan.row_hit_rate())),
-                ]),
-            ));
-        }
         pairs.extend(vec![
             (
                 "latency_hist",
@@ -308,10 +256,10 @@ impl MetricsReport {
 /// One telemetry sample as JSON: tick, queue high-water mark, every
 /// counter by wire name, and — when the `telemetry-timing` feature is
 /// compiled in — `<timer>_ns` / `<timer>_calls` per phase timer.
-fn telemetry_sample_json(s: &TelemetrySample) -> JsonValue {
+fn telemetry_sample_json(s: &RunSample) -> JsonValue {
     let mut pairs = vec![
         ("tick", int(s.tick)),
-        ("queue_high_water", int(s.queue_high_water)),
+        ("queue_high_water", int(s.stats.queue_high_water)),
     ];
     for c in Counter::ALL {
         pairs.push((c.name(), int(s.delta.get(c))));
@@ -319,30 +267,12 @@ fn telemetry_sample_json(s: &TelemetrySample) -> JsonValue {
     if Counters::timing_enabled() {
         for t in Timer::ALL {
             if let (Some(ns), Some(calls)) = (s.delta.timer_ns(t), s.delta.timer_calls(t)) {
-                pairs.push((timer_ns_key(t), int(ns)));
-                pairs.push((timer_calls_key(t), int(calls)));
+                pairs.push((t.ns_key(), int(ns)));
+                pairs.push((t.calls_key(), int(calls)));
             }
         }
     }
     obj(pairs)
-}
-
-/// Static JSON key for a timer's nanosecond column.
-fn timer_ns_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_ns",
-        Timer::Resolve => "resolve_ns",
-        Timer::RowBuild => "row_build_ns",
-    }
-}
-
-/// Static JSON key for a timer's call-count column.
-fn timer_calls_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_calls",
-        Timer::Resolve => "resolve_calls",
-        Timer::RowBuild => "row_build_calls",
-    }
 }
 
 impl fmt::Display for MetricsReport {
@@ -398,22 +328,22 @@ impl fmt::Display for MetricsReport {
                 rates.len()
             )?;
         }
-        if let Some(scan) = &self.scan_stats {
+        let total = |c: Counter| self.telemetry.iter().map(|s| s.delta.get(c)).sum::<u64>();
+        let (scans, row_hits) = (total(Counter::RowsBuilt), total(Counter::RowHits));
+        if scans + row_hits > 0 {
             writeln!(
                 f,
-                "reach scans: {} ({:.1} pairs/scan), row-cache hit rate {:.3}",
-                scan.scans,
-                scan.pairs_per_scan(),
-                scan.row_hit_rate()
+                "reach scans: {scans} ({:.1} pairs/scan), row-cache hit rate {:.3}",
+                total(Counter::RowPairs) as f64 / scans.max(1) as f64,
+                row_hits as f64 / (scans + row_hits) as f64
             )?;
         }
-        if !self.telemetry.is_empty() {
-            let last = self.telemetry.last().expect("non-empty");
+        if let Some(last) = self.telemetry.last() {
             writeln!(
                 f,
                 "telemetry: {} samples on the pause grid, queue high-water {}",
                 self.telemetry.len(),
-                last.queue_high_water
+                last.stats.queue_high_water
             )?;
         }
         writeln!(
@@ -427,6 +357,7 @@ impl fmt::Display for MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::DeliverySummary;
     use decay_core::NodeId;
 
     fn record(sent: Tick, tick: Tick) -> DeliveryRecord {
@@ -454,7 +385,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             Vec::new(),
-            None,
             0,
         );
         assert_eq!(report.latency_hist[0], 1, "latency 0");
@@ -511,21 +441,26 @@ mod tests {
                     prr: 0.0,
                 },
             ],
-            vec![TelemetrySample {
+            vec![RunSample {
                 tick: 25,
+                stats: EngineStats {
+                    queue_high_water: 3,
+                    ..EngineStats::default()
+                },
                 delta: {
                     let sink = Counters::new();
                     sink.add(Counter::Events, 42);
                     sink.add(Counter::SinrPairs, 7);
+                    sink.add(Counter::RowsBuilt, 4);
+                    sink.add(Counter::RowPairs, 40);
+                    sink.add(Counter::RowHits, 12);
                     sink.snapshot()
                 },
-                queue_high_water: 3,
+                deliveries: DeliverySummary::default(),
+                zeta: None,
+                prr_window: None,
+                directives: Vec::new(),
             }],
-            Some(ScanStatsReport {
-                scans: 4,
-                pairs: 40,
-                row_hits: 12,
-            }),
             0x00AB_CDEF_0123_4567,
         );
         let text = report.to_string();
@@ -556,8 +491,7 @@ mod tests {
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"events\": 42"), "{json}");
         assert!(json.contains("\"sinr_pairs\": 7"), "{json}");
-        assert!(json.contains("\"scan_stats\""));
-        assert!(json.contains("\"pairs_per_scan\": 10"), "{json}");
+        assert!(json.contains("\"rows_built\": 4"), "{json}");
         assert!(json.contains("\"queue_high_water\": 0"), "stats block");
         // JSON parses back cleanly.
         decay_core::json::parse(&json).unwrap();
@@ -574,16 +508,15 @@ mod tests {
             Vec::new(),
             Vec::new(),
             Vec::new(),
-            None,
             0,
         );
         let json = report.to_json().pretty();
         assert!(!json.contains("zeta_series"), "{json}");
         assert!(!json.contains("prr_windows"), "{json}");
         assert!(!json.contains("telemetry"), "{json}");
-        assert!(!json.contains("scan_stats"), "{json}");
         assert!(!report.to_string().contains("metricity"));
         assert!(!report.to_string().contains("windowed prr"));
+        assert!(!report.to_string().contains("reach scans"));
     }
 
     #[test]
@@ -597,7 +530,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             Vec::new(),
-            None,
             0,
         );
         assert_eq!(report.mean_latency, 0.0);

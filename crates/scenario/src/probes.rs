@@ -3,19 +3,15 @@
 //! [`decay_engine::probe::Probe`].
 //!
 //! [`MetricsProbe`] streams delivery batches into a
-//! [`MetricsCollector`]; [`DigestProbe`] captures the canonical
-//! trace-digest ingredients at the end of the run;
-//! [`decay_channel::MetricityMonitor`] and
+//! [`MetricsCollector`]; [`decay_channel::MetricityMonitor`] and
 //! [`decay_engine::WindowedPrr`] plug in unchanged. All of them are
 //! read-only, so any subset can be attached without perturbing the
 //! digest (enforced by the probe-transparency proptest under
 //! `tests/`).
 
 use decay_engine::probe::{PauseCtx, Probe};
-use decay_engine::{EngineStats, Tick};
 
 use crate::metrics::MetricsCollector;
-use crate::runner::TraceDigest;
 
 /// Streams every pause's delivery batch into a [`MetricsCollector`].
 #[derive(Debug, Default)]
@@ -43,42 +39,5 @@ impl Probe for MetricsProbe {
 
     fn on_finish(&mut self, ctx: &PauseCtx<'_>) {
         self.collector.observe_all(ctx.batch);
-    }
-}
-
-/// Captures the trace-digest ingredients — rolling hash, final
-/// counters, final tick — when the run finishes. The golden-trace
-/// machinery is thereby just another probe on the shared pause stream.
-#[derive(Debug, Default)]
-pub struct DigestProbe {
-    captured: Option<(u64, EngineStats, Tick)>,
-}
-
-impl DigestProbe {
-    /// An empty probe.
-    pub fn new() -> Self {
-        DigestProbe::default()
-    }
-
-    /// Assembles the canonical digest. `completed_at` is the runner's
-    /// completion verdict (probes observe, the runner decides).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run never finished (`on_finish` not called).
-    pub fn into_digest(self, name: String, completed_at: Option<Tick>) -> TraceDigest {
-        let (hash, stats, _) = self.captured.expect("digest captured before the run ended");
-        TraceDigest {
-            name,
-            hash,
-            stats,
-            completed_at,
-        }
-    }
-}
-
-impl Probe for DigestProbe {
-    fn on_finish(&mut self, ctx: &PauseCtx<'_>) {
-        self.captured = Some((ctx.trace_hash, ctx.stats, ctx.tick));
     }
 }

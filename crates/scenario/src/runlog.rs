@@ -7,8 +7,8 @@
 //! windowed PRR, delivery summaries, controller directives), a
 //! [`resume`] marker when a checkpoint/restore cycle ran, and a
 //! [`run_end`] record with the final report. It is written by
-//! [`RunLogProbe`], which the runner invokes at every pause when a
-//! writer is attached via
+//! [`RunLogProbe`], which serializes the session's
+//! [`RunSample`]s when a writer is attached via
 //! [`RunOptions::runlog`](crate::RunOptions::runlog).
 //!
 //! [`run_start`]: RunRecord::RunStart
@@ -28,9 +28,9 @@
 //!   never from backend-side caching behavior.
 //! * **Resume-invariant modulo the marker** — a run split by a
 //!   checkpoint/restore cycle produces the identical byte stream plus
-//!   one `resume` line. Counter deltas are accumulated across the
-//!   restore (the sinks restart at zero; the probe re-baselines), so
-//!   even the interval spanning the split matches.
+//!   one `resume` line. The session accumulates counter deltas across
+//!   the restore (the sinks restart at zero; it re-baselines), so even
+//!   the interval spanning the split matches.
 //! * **Timing-gated fields are exempt** — with the `telemetry-timing`
 //!   feature each sample gains a `"timers"` object of wall-clock
 //!   nanoseconds; [`normalize`] strips it (and `resume` markers) so
@@ -49,11 +49,12 @@
 use std::fmt;
 use std::io::Write;
 
-use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer};
-use decay_engine::probe::{Directive, PauseCtx};
+use decay_core::telemetry::{Counter, Counters, SpanEvent, Timer};
+use decay_engine::probe::Directive;
 use decay_engine::{EngineStats, Tick};
 
 use crate::runner::ScenarioReport;
+use crate::sample::RunSample;
 use crate::spec::{ProtocolSpec, ScenarioSpec};
 use decay_core::json::{self, int, num, obj, s, JsonValue};
 
@@ -79,28 +80,13 @@ const ENGINE_COUNTERS: [Counter; 5] = [
     Counter::ReachScans,
 ];
 
-/// Which probe callback a pause corresponds to (the runner's private
-/// phase enum, mirrored here so [`RunLogProbe::observe`] can be called
-/// from outside the runner in tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunPhase {
-    /// Before the first event fires (`tick == 0`).
-    Start,
-    /// A pause-grid (or off-grid checkpoint) stop.
-    Pause,
-    /// The final drain after completion or the horizon.
-    Finish,
-}
-
 /// Streams `decay-runlog-v1` records to any [`io::Write`](Write).
 ///
-/// Not a [`Probe`](decay_engine::probe::Probe) implementor on purpose:
-/// it needs the controller's directives alongside the [`PauseCtx`],
-/// which the read-only probe trait deliberately never sees. The runner
-/// invokes [`Self::observe`] *after* the probes and the controller at
-/// every pause, [`Self::note_restore`] after a successful
-/// checkpoint/restore cycle, and [`Self::finish`] once the report is
-/// assembled.
+/// A plain serializer: the session calls [`Self::start`] at the start
+/// pause, [`Self::sample`] with every [`RunSample`] it builds,
+/// [`Self::note_restore`] after a successful checkpoint/restore cycle,
+/// and [`Self::finish`] once the report is assembled. It never reads
+/// the backend, so attaching it cannot move a counter.
 ///
 /// IO errors are captured internally (the stream is best-effort while
 /// the run is in flight) and surfaced at the end via
@@ -117,23 +103,6 @@ pub struct RunLogProbe<'w> {
     controller_sig: u64,
     monitor: Option<(Tick, usize)>,
     window: Option<Tick>,
-    /// Merged engine+backend counter snapshot at the previous pause —
-    /// the subtrahend for the next accumulation step. Reset to zero by
-    /// [`Self::note_restore`] because a restore rebuilds the sinks.
-    baseline: CounterSnapshot,
-    /// Counters accumulated over the whole run, additive across
-    /// checkpoint/restore cycles (what makes sample deltas
-    /// split-invariant).
-    cum: CounterSnapshot,
-    /// `cum` as of the previously emitted sample.
-    at_sample: CounterSnapshot,
-    /// Cumulative (transmissions, deliveries) at the previous PRR
-    /// window boundary.
-    at_boundary: (u64, u64),
-    pending_deliveries: u64,
-    first_pending: Option<Tick>,
-    last_pending: Option<Tick>,
-    last_emitted: Option<Tick>,
     error: Option<String>,
 }
 
@@ -141,7 +110,6 @@ impl fmt::Debug for RunLogProbe<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunLogProbe")
             .field("name", &self.name)
-            .field("last_emitted", &self.last_emitted)
             .field("error", &self.error)
             .finish_non_exhaustive()
     }
@@ -152,7 +120,7 @@ impl<'w> RunLogProbe<'w> {
     ///
     /// `controller_sig` is the [`Controller::signature`] the runner
     /// registered with the engine (0 = no controller); the channel
-    /// signature is read off the live backend at the `Start` pause.
+    /// signature arrives with [`Self::start`].
     ///
     /// [`Controller::signature`]: decay_engine::probe::Controller::signature
     pub fn new(out: &'w mut (dyn Write + Send), spec: &ScenarioSpec, controller_sig: u64) -> Self {
@@ -172,69 +140,35 @@ impl<'w> RunLogProbe<'w> {
                 .and_then(|c| c.monitor.as_ref())
                 .map(|m| (m.interval, m.max_nodes)),
             window: spec.prr_window,
-            baseline: CounterSnapshot::default(),
-            cum: CounterSnapshot::default(),
-            at_sample: CounterSnapshot::default(),
-            at_boundary: (0, 0),
-            pending_deliveries: 0,
-            first_pending: None,
-            last_pending: None,
-            last_emitted: None,
             error: None,
         }
     }
 
-    /// Feeds the probe one pause: `Start` writes the `run_start`
-    /// header, `Pause`/`Finish` accumulate counters and deliveries and
-    /// emit a `sample` record on the `check_interval` grid (plus at the
-    /// horizon when it is off-grid). Off-grid checkpoint pauses
-    /// accumulate without emitting, and a `Finish` at an
-    /// already-sampled tick is deduplicated — both are what keep the
-    /// byte stream split-invariant.
-    pub fn observe(&mut self, phase: RunPhase, ctx: &PauseCtx<'_>, directives: &[Directive]) {
+    /// Writes the `run_start` header: `channel_sig` is the live
+    /// backend's channel signature, `directives` the controller's
+    /// tick-0 decisions.
+    pub fn start(&mut self, channel_sig: u64, directives: &[Directive]) {
+        let record = self.run_start_record(channel_sig, directives);
+        self.write_line(record);
+    }
+
+    /// Writes one `sample` record.
+    pub fn sample(&mut self, sample: &RunSample) {
         if self.error.is_some() {
             return;
         }
-        match phase {
-            RunPhase::Start => {
-                let record = self.run_start_record(ctx, directives);
-                self.write_line(record);
-                self.baseline = merged_snapshot(ctx);
-            }
-            RunPhase::Pause | RunPhase::Finish => {
-                let now = merged_snapshot(ctx);
-                self.cum = self.cum.merge(&now.delta_since(&self.baseline));
-                self.baseline = now;
-                self.pending_deliveries += ctx.batch.len() as u64;
-                if let Some(first) = ctx.batch.first() {
-                    self.first_pending.get_or_insert(first.tick);
-                }
-                if let Some(last) = ctx.batch.last() {
-                    self.last_pending = Some(last.tick);
-                }
-                if self.due(ctx.tick) {
-                    let record = self.sample_record(ctx, directives);
-                    self.write_line(record);
-                    self.at_sample = self.cum;
-                    self.pending_deliveries = 0;
-                    self.first_pending = None;
-                    self.last_pending = None;
-                    self.last_emitted = Some(ctx.tick);
-                }
-            }
-        }
+        let record = sample_record(sample);
+        self.write_line(record);
     }
 
     /// Marks a successful checkpoint/restore cycle at `split`: writes
-    /// the `resume` record and re-baselines the counter accumulator
-    /// (the restored engine's sinks restart at zero).
+    /// the `resume` record.
     pub fn note_restore(&mut self, split: Tick) {
         if self.error.is_some() {
             return;
         }
         let record = obj(vec![("record", s("resume")), ("tick", int(split))]);
         self.write_line(record);
-        self.baseline = CounterSnapshot::default();
     }
 
     /// Writes the `run_end` record from the finished report and
@@ -276,13 +210,7 @@ impl<'w> RunLogProbe<'w> {
         self.error.take()
     }
 
-    fn due(&self, tick: Tick) -> bool {
-        tick > 0
-            && (tick.is_multiple_of(self.ci) || tick == self.horizon)
-            && self.last_emitted != Some(tick)
-    }
-
-    fn run_start_record(&self, ctx: &PauseCtx<'_>, directives: &[Directive]) -> JsonValue {
+    fn run_start_record(&self, channel_sig: u64, directives: &[Directive]) -> JsonValue {
         let mut fields = vec![
             ("record", s("run_start")),
             ("format", s(RUNLOG_FORMAT)),
@@ -293,7 +221,7 @@ impl<'w> RunLogProbe<'w> {
             ("nodes", int(self.nodes as u64)),
             ("protocol", s(self.protocol)),
             ("spec_sig", hex(self.spec_sig)),
-            ("channel_sig", hex(ctx.backend.channel_signature())),
+            ("channel_sig", hex(channel_sig)),
             ("controller_sig", hex(self.controller_sig)),
         ];
         if let Some((interval, max_nodes)) = self.monitor {
@@ -314,74 +242,6 @@ impl<'w> RunLogProbe<'w> {
         obj(fields)
     }
 
-    fn sample_record(&mut self, ctx: &PauseCtx<'_>, directives: &[Directive]) -> JsonValue {
-        let tick = ctx.tick;
-        let delta = self.cum.delta_since(&self.at_sample);
-        let mut fields = vec![
-            ("record", s("sample")),
-            ("tick", int(tick)),
-            ("stats", stats_json(&ctx.stats)),
-            (
-                "counters",
-                obj(ENGINE_COUNTERS
-                    .iter()
-                    .map(|&c| (c.name(), int(delta.get(c))))
-                    .collect()),
-            ),
-        ];
-        let mut deliveries = vec![("count", int(self.pending_deliveries))];
-        if self.pending_deliveries > 0 {
-            if let Some(first) = self.first_pending {
-                deliveries.push(("first", int(first)));
-            }
-            if let Some(last) = self.last_pending {
-                deliveries.push(("last", int(last)));
-            }
-        }
-        fields.push(("deliveries", obj(deliveries)));
-        if let Some((interval, max_nodes)) = self.monitor {
-            if tick.is_multiple_of(interval) {
-                let zs = decay_channel::sample(tick, ctx.backend, max_nodes);
-                fields.push((
-                    "zeta",
-                    obj(vec![
-                        ("zeta", num(zs.zeta)),
-                        ("phi", num(zs.phi)),
-                        ("nodes", int(zs.nodes as u64)),
-                    ]),
-                ));
-            }
-        }
-        if let Some(w) = self.window {
-            if tick.is_multiple_of(w) {
-                let tx = ctx.stats.transmissions - self.at_boundary.0;
-                let dv = ctx.stats.deliveries - self.at_boundary.1;
-                let prr = if tx == 0 { 0.0 } else { dv as f64 / tx as f64 };
-                fields.push((
-                    "prr_window",
-                    obj(vec![
-                        ("transmissions", int(tx)),
-                        ("deliveries", int(dv)),
-                        ("prr", num(prr)),
-                    ]),
-                ));
-                self.at_boundary = (ctx.stats.transmissions, ctx.stats.deliveries);
-            }
-        }
-        if !directives.is_empty() {
-            fields.push(("directives", directives_json(directives)));
-        }
-        if Counters::timing_enabled() {
-            let mut timers = Vec::with_capacity(2 * Timer::ALL.len());
-            for t in Timer::ALL {
-                timers.push((ns_key(t), int(delta.timer_ns(t).unwrap_or(0))));
-                timers.push((calls_key(t), int(delta.timer_calls(t).unwrap_or(0))));
-            }
-            fields.push(("timers", obj(timers)));
-        }
-        obj(fields)
-    }
-
     fn write_line(&mut self, record: JsonValue) {
         if let Err(e) = writeln!(self.out, "{}", record.compact()) {
             self.error = Some(format!("runlog write: {e}"));
@@ -389,31 +249,63 @@ impl<'w> RunLogProbe<'w> {
     }
 }
 
-/// The stable `"<timer>_ns"` key a sample's `timers` object uses.
-fn ns_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_ns",
-        Timer::Resolve => "resolve_ns",
-        Timer::RowBuild => "row_build_ns",
+/// One `sample` record.
+fn sample_record(sample: &RunSample) -> JsonValue {
+    let d = &sample.deliveries;
+    let mut fields = vec![
+        ("record", s("sample")),
+        ("tick", int(sample.tick)),
+        ("stats", stats_json(&sample.stats)),
+        (
+            "counters",
+            obj(ENGINE_COUNTERS
+                .iter()
+                .map(|&c| (c.name(), int(sample.delta.get(c))))
+                .collect()),
+        ),
+    ];
+    let mut deliveries = vec![("count", int(d.count))];
+    if d.count > 0 {
+        if let Some(first) = d.first {
+            deliveries.push(("first", int(first)));
+        }
+        if let Some(last) = d.last {
+            deliveries.push(("last", int(last)));
+        }
     }
-}
-
-/// The stable `"<timer>_calls"` key a sample's `timers` object uses.
-fn calls_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_calls",
-        Timer::Resolve => "resolve_calls",
-        Timer::RowBuild => "row_build_calls",
+    fields.push(("deliveries", obj(deliveries)));
+    if let Some(z) = &sample.zeta {
+        fields.push((
+            "zeta",
+            obj(vec![
+                ("zeta", num(z.zeta)),
+                ("phi", num(z.phi)),
+                ("nodes", int(z.nodes as u64)),
+            ]),
+        ));
     }
-}
-
-/// Merged engine + backend counter snapshot at one pause.
-fn merged_snapshot(ctx: &PauseCtx<'_>) -> CounterSnapshot {
-    let snap = ctx.counters.snapshot();
-    match ctx.backend.telemetry() {
-        Some(t) => snap.merge(&t.snapshot()),
-        None => snap,
+    if let Some(w) = &sample.prr_window {
+        fields.push((
+            "prr_window",
+            obj(vec![
+                ("transmissions", int(w.transmissions)),
+                ("deliveries", int(w.deliveries)),
+                ("prr", num(w.prr)),
+            ]),
+        ));
     }
+    if !sample.directives.is_empty() {
+        fields.push(("directives", directives_json(&sample.directives)));
+    }
+    if Counters::timing_enabled() {
+        let mut timers = Vec::with_capacity(2 * Timer::ALL.len());
+        for t in Timer::ALL {
+            timers.push((t.ns_key(), int(sample.delta.timer_ns(t).unwrap_or(0))));
+            timers.push((t.calls_key(), int(sample.delta.timer_calls(t).unwrap_or(0))));
+        }
+        fields.push(("timers", obj(timers)));
+    }
+    obj(fields)
 }
 
 /// The workload kind string a `run_start` record carries.

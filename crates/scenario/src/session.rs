@@ -10,11 +10,12 @@
 //!    number of concurrent runs. [`ScenarioCache`] memoizes compilations
 //!    by signature.
 //! 2. **Session** — [`RunSession`] owns a running engine plus every
-//!    pause-grid observer (metrics, ζ(t) monitor, windowed PRR, digest,
-//!    telemetry, caller extras) and exposes the run as a sequence of
-//!    externally driven steps: [`RunSession::step_to_next_pause`],
-//!    [`RunSession::checkpoint`], [`RunSession::park`] /
-//!    [`RunSession::resume`], [`RunSession::finish`].
+//!    pause-grid observer (metrics, ζ(t) monitor, windowed PRR, caller
+//!    extras), samples each grid tick once ([`RunSample`]), and exposes
+//!    the run as a sequence of externally driven steps:
+//!    [`RunSession::step_to_next_pause`], [`RunSession::checkpoint`],
+//!    [`RunSession::park`] / [`RunSession::resume`],
+//!    [`RunSession::finish`].
 //! 3. **Drive** — [`crate::ScenarioRunner`]'s `run_*` entry points are
 //!    thin loops over a session; external schedulers can drive the same
 //!    session API themselves (preempt a run, serialize it, resume it on
@@ -43,25 +44,16 @@ use decay_engine::probe::{
     apply_directives, Controller, Directive, PauseCtx, Probe, Tunable, WindowedPrr,
 };
 use decay_engine::{
-    dump_flight, Checkpoint, Codec, DecayBackend, Engine, EngineConfig, EngineStats, EventBehavior,
-    EventRecord, TelemetryProbe, Tick,
+    Checkpoint, Codec, DecayBackend, Engine, EngineConfig, EngineStats, EventBehavior, EventRecord,
+    Tick,
 };
 use decay_spaces::Point;
 
-use crate::metrics::ScanStatsReport;
-use crate::probes::{DigestProbe, MetricsProbe};
-use crate::runlog::{RunLogProbe, RunPhase};
-use crate::runner::{RunOptions, ScenarioError, ScenarioReport};
+use crate::probes::MetricsProbe;
+use crate::runlog::RunLogProbe;
+use crate::runner::{RunOptions, ScenarioError, ScenarioReport, TraceDigest};
+use crate::sample::{dump_flight, RunSample, Sampler};
 use crate::spec::{spec_signature, BackendSpec, ProtocolSpec, ScenarioSpec};
-
-/// Windows of pair-level traffic the [`WindowedPrr`] tracker retains
-/// for windowed per-pair queries (the report series is unbounded; this
-/// only caps the tracker's memory).
-pub(crate) const PRR_KEEP_WINDOWS: usize = 8;
-
-/// Pause-grid samples the flight recorder retains (the report series is
-/// unbounded; this only caps the crash-dump tail).
-pub(crate) const FLIGHT_KEEP_SAMPLES: usize = 32;
 
 /// Dispatched events the engine-side flight-recorder ring retains.
 pub(crate) const FLIGHT_KEEP_EVENTS: usize = 64;
@@ -402,7 +394,6 @@ trait EngineHarness: Send {
     fn stats(&self) -> EngineStats;
     fn len(&self) -> usize;
     fn channel_signature(&self) -> u64;
-    fn scan_stats(&self) -> Option<ScanStatsReport>;
     fn checkpoint_bytes(&mut self) -> Vec<u8>;
     /// Drops the engine; every other method panics until
     /// [`Self::restore`] succeeds.
@@ -473,17 +464,6 @@ where
 
     fn channel_signature(&self) -> u64 {
         self.engine().backend().channel_signature()
-    }
-
-    fn scan_stats(&self) -> Option<ScanStatsReport> {
-        self.engine()
-            .backend()
-            .telemetry()
-            .map(|t| ScanStatsReport {
-                scans: t.get(Counter::RowsBuilt),
-                pairs: t.get(Counter::RowPairs),
-                row_hits: t.get(Counter::RowHits),
-            })
     }
 
     fn checkpoint_bytes(&mut self) -> Vec<u8> {
@@ -667,6 +647,17 @@ pub enum SessionStep {
     Finished,
 }
 
+/// Which lifecycle callback a pause corresponds to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunPhase {
+    /// Before the first event fires (`tick == 0`).
+    Start,
+    /// A pause-grid (or off-grid breakpoint) stop.
+    Pause,
+    /// The final drain after completion or the horizon.
+    Finish,
+}
+
 /// The one sanctioned wall-clock read in this crate: the session's
 /// start instant, reported as `elapsed` in the run summary. Nothing
 /// derived from it ever reaches the trace, the digests, or the
@@ -681,11 +672,11 @@ fn wall_clock_start() -> Instant {
 /// One scenario run, held open: the **session** phase.
 ///
 /// A session owns the engine, the built-in pause-grid observers, the
-/// controller, and the observability sinks, and exposes the run as
-/// externally driven steps. Between steps the caller may snapshot
-/// ([`Self::checkpoint`]), fully preempt ([`Self::park`], which drops
-/// the engine) and later [`Self::resume`] — on the same thread or
-/// another, since the session is `Send`.
+/// controller, the sample series, and the observability sinks, and
+/// exposes the run as externally driven steps. Between steps the
+/// caller may snapshot ([`Self::checkpoint`]), fully preempt
+/// ([`Self::park`], which drops the engine) and later [`Self::resume`]
+/// — on the same thread or another, since the session is `Send`.
 ///
 /// Stepping never pauses off the `check_interval` grid except at the
 /// single optional breakpoint, so however the session is driven, its
@@ -699,8 +690,9 @@ pub struct RunSession<'a, 'p> {
     metrics: MetricsProbe,
     monitor: Option<MetricityMonitor>,
     windowed_prr: Option<WindowedPrr>,
-    digest: DigestProbe,
-    telemetry: TelemetryProbe,
+    sampler: Sampler,
+    /// One [`RunSample`] per runlog-grid tick so far.
+    samples: Vec<RunSample>,
     extra: &'a mut [&'p mut dyn Probe],
     controller: Option<AdaptiveContention>,
     controller_sig: u64,
@@ -778,10 +770,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
         // check_interval), so neither series can depend on backend
         // choice or on an extra breakpoint pause.
         let monitor = spec.channel.as_ref().and_then(|c| c.build_monitor());
-        let windowed_prr = spec
-            .prr_window
-            .map(|w| WindowedPrr::new(spec.node_count(), w, PRR_KEEP_WINDOWS));
-        let telemetry = TelemetryProbe::new(spec.check_interval, FLIGHT_KEEP_SAMPLES);
+        let windowed_prr = spec.prr_window.map(WindowedPrr::new);
+        let sampler = Sampler::new(spec.check_interval, spec.horizon);
 
         let runlog = opts
             .runlog
@@ -799,8 +789,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
             metrics: MetricsProbe::new(),
             monitor,
             windowed_prr,
-            digest: DigestProbe::new(),
-            telemetry,
+            sampler,
+            samples: Vec::new(),
             extra,
             controller,
             controller_sig,
@@ -822,10 +812,10 @@ impl<'a, 'p> RunSession<'a, 'p> {
     /// Shows every probe the same [`PauseCtx`] (assembled once by
     /// [`decay_engine::probe::with_pause`]), collects the controller's
     /// grid-aligned directives (`steer: false` suppresses decisions —
-    /// off-grid breakpoint pauses, the final drain), and lets the
-    /// runlog narrate last, after the probes have observed and the
-    /// controller has decided.
-    fn pause_all(&mut self, phase: RunPhase, steer: bool) {
+    /// off-grid breakpoint pauses, the final drain), then folds the
+    /// pause into the sampler and, on a runlog-grid tick, builds that
+    /// tick's one [`RunSample`]. Returns the pause's trace hash.
+    fn pause_all(&mut self, phase: RunPhase, steer: bool) -> u64 {
         fn dispatch(p: &mut dyn Probe, phase: RunPhase, ctx: &PauseCtx<'_>) {
             match phase {
                 RunPhase::Start => p.on_start(ctx),
@@ -839,14 +829,16 @@ impl<'a, 'p> RunSession<'a, 'p> {
             metrics,
             monitor,
             windowed_prr,
-            digest,
-            telemetry,
+            sampler,
+            samples,
             extra,
             controller,
             runlog,
             ..
         } = self;
+        let mut trace_hash = 0;
         harness.pause(*horizon, &mut |ctx| {
+            trace_hash = ctx.trace_hash;
             dispatch(&mut *metrics, phase, ctx);
             if let Some(m) = monitor.as_mut() {
                 dispatch(m, phase, ctx);
@@ -854,8 +846,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
             if let Some(w) = windowed_prr.as_mut() {
                 dispatch(w, phase, ctx);
             }
-            dispatch(&mut *digest, phase, ctx);
-            dispatch(&mut *telemetry, phase, ctx);
             for p in extra.iter_mut() {
                 dispatch(&mut **p, phase, ctx);
             }
@@ -863,11 +853,37 @@ impl<'a, 'p> RunSession<'a, 'p> {
                 Some(c) if steer && !matches!(phase, RunPhase::Finish) => c.decide(ctx),
                 _ => Vec::new(),
             };
-            if let Some(rl) = runlog.as_mut() {
-                rl.observe(phase, ctx, &directives);
+            if phase == RunPhase::Start {
+                sampler.start(ctx);
+                if let Some(rl) = runlog.as_mut() {
+                    rl.start(ctx.backend.channel_signature(), &directives);
+                }
+            } else if let Some((delta, deliveries)) = sampler.observe(ctx) {
+                let sample = RunSample {
+                    tick: ctx.tick,
+                    stats: ctx.stats,
+                    delta,
+                    deliveries,
+                    zeta: monitor
+                        .as_ref()
+                        .and_then(|m| m.samples().last())
+                        .filter(|z| z.tick == ctx.tick)
+                        .copied(),
+                    prr_window: windowed_prr
+                        .as_ref()
+                        .and_then(|w| w.samples().last())
+                        .filter(|w| w.tick == ctx.tick)
+                        .copied(),
+                    directives: directives.clone(),
+                };
+                if let Some(rl) = runlog.as_mut() {
+                    rl.sample(&sample);
+                }
+                samples.push(sample);
             }
             directives
         });
+        trace_hash
     }
 
     /// The engine's current tick.
@@ -997,7 +1013,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
             "RunSession::resume on a live session; call park() first"
         );
         if let Err(err) = self.harness.restore(bytes, self.controller_sig) {
-            let dump = dump_flight(&self.telemetry.recent(), &self.parked_events);
+            let dump = dump_flight(&self.samples, &self.parked_events);
             if let Some(w) = self.flight_dump.as_deref_mut() {
                 // Best-effort: the resume already failed, and the
                 // caller gets the underlying error either way.
@@ -1017,6 +1033,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
         if self.trace_spans.is_some() {
             self.harness.arm_span_recording();
         }
+        self.sampler.note_restore();
         if let Some(rl) = self.runlog.as_mut() {
             rl.note_restore(self.parked_at);
         }
@@ -1038,20 +1055,16 @@ impl<'a, 'p> RunSession<'a, 'p> {
     /// Panics if the session is parked.
     pub fn finish(mut self) -> Result<ScenarioReport, ScenarioError> {
         assert!(!self.harness.is_parked(), "{PARKED}");
-        self.pause_all(RunPhase::Finish, false);
+        let hash = self.pause_all(RunPhase::Finish, false);
         if let Some(spans) = self.trace_spans.as_deref_mut() {
             spans.extend(self.harness.take_spans());
         }
         if let Some(w) = self.flight_dump.as_deref_mut() {
-            let dump = dump_flight(&self.telemetry.recent(), &self.harness.recent_events());
+            let dump = dump_flight(&self.samples, &self.harness.recent_events());
             if let Err(e) = w.write_all(dump.as_bytes()).and_then(|()| w.flush()) {
                 return Err(ScenarioError::RunLog(format!("flight dump: {e}")));
             }
         }
-        // Channel-side scan totals come straight off the backend's
-        // sink. After a park/resume the backend was rebuilt, so (like
-        // the telemetry series) these cover the post-split portion only.
-        let scan_stats = self.harness.scan_stats();
         let stats = self.harness.stats();
         let metrics = self.metrics.into_collector().finish(
             stats,
@@ -1063,14 +1076,16 @@ impl<'a, 'p> RunSession<'a, 'p> {
             self.windowed_prr
                 .map(WindowedPrr::into_samples)
                 .unwrap_or_default(),
-            self.telemetry.into_samples(),
-            scan_stats,
+            self.samples,
             self.harness.channel_signature(),
         );
         let report = ScenarioReport {
-            digest: self
-                .digest
-                .into_digest(self.compiled.spec.name.clone(), self.completed_at),
+            digest: TraceDigest {
+                name: self.compiled.spec.name.clone(),
+                hash,
+                stats,
+                completed_at: self.completed_at,
+            },
             metrics,
             nodes: self.harness.len(),
             checkpointed: self.checkpointed,

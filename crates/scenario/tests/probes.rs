@@ -7,11 +7,12 @@
 use decay_channel::MetricityMonitor;
 use decay_distributed::ContentionStrategy;
 use decay_engine::probe::{PauseCtx, Probe};
-use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, TelemetryProbe, Tick, WindowedPrr};
+use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, Tick, WindowedPrr};
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
-    runlog, AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec,
-    ProtocolSpec, RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    golden, runlog, AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec,
+    ProtocolSpec, RunOptions, RunSample, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec,
+    TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -119,7 +120,7 @@ impl Probe for Counter {
     }
 }
 
-use decay_core::telemetry::{Counter as TCounter, TelemetrySample};
+use decay_core::telemetry::Counter as TCounter;
 
 /// The engine-side counters: bumped only by the dispatch/resolve hot
 /// path, never by a probe reading the backend (unlike the backend-side
@@ -138,16 +139,15 @@ const ENGINE_SIDE: [TCounter; 5] = [
 type CounterViewRow = (Tick, u64, Vec<(&'static str, u64)>);
 
 /// A timing-free view of a telemetry series. Comparisons go through
-/// this instead of `TelemetrySample` equality because the
-/// feature-gated phase timers measure wall clock, which no two
-/// observations share.
-fn counter_view(samples: &[TelemetrySample], counters: &[TCounter]) -> Vec<CounterViewRow> {
+/// this instead of `RunSample` equality because the feature-gated
+/// phase timers measure wall clock, which no two observations share.
+fn counter_view(samples: &[RunSample], counters: &[TCounter]) -> Vec<CounterViewRow> {
     samples
         .iter()
         .map(|s| {
             (
                 s.tick,
-                s.queue_high_water,
+                s.stats.queue_high_water,
                 counters
                     .iter()
                     .map(|&c| (c.name(), s.delta.get(c)))
@@ -169,7 +169,7 @@ proptest! {
         protocol in 0u8..3,
         seed in 0u64..3_000,
         backend_knob in 0u8..3,
-        subset in 0u8..16,
+        subset in 0u8..8,
         split_knob in 0u64..520,
         adaptive_knob in 0u8..2,
     ) {
@@ -199,10 +199,7 @@ proptest! {
         // Same grid and subset size as the built-in monitor, so the two
         // series must agree sample for sample.
         let mut extra_monitor = MetricityMonitor::new(32, 10);
-        let mut extra_prr = WindowedPrr::new(18, 64, 4);
-        // Same interval as the built-in telemetry probe (the spec's
-        // check_interval), so the two counter series must agree.
-        let mut extra_telemetry = TelemetryProbe::new(16, 8);
+        let mut extra_prr = WindowedPrr::new(64);
         let mut extras: Vec<&mut dyn Probe> = Vec::new();
         if subset & 1 != 0 {
             extras.push(&mut counter);
@@ -212,9 +209,6 @@ proptest! {
         }
         if subset & 4 != 0 {
             extras.push(&mut extra_prr);
-        }
-        if subset & 8 != 0 {
-            extras.push(&mut extra_telemetry);
         }
         let mut probed_log = Vec::new();
         let probed = runner
@@ -273,27 +267,6 @@ proptest! {
             let sum: u64 = extra_prr.samples().iter().map(|s| s.deliveries).sum();
             prop_assert!(sum <= probed.digest.stats.deliveries);
         }
-        if subset & 8 != 0 {
-            prop_assert!(
-                !extra_telemetry.samples().is_empty(),
-                "telemetry probe never sampled"
-            );
-            // An extra monitor (bit 2) issues backend reads between the
-            // built-in telemetry read and this probe's, so the
-            // backend-side row/epoch counters honestly differ; without
-            // it the full counter set must agree delta for delta.
-            let compare: &[TCounter] = if subset & 2 == 0 {
-                &TCounter::ALL
-            } else {
-                &ENGINE_SIDE
-            };
-            prop_assert_eq!(
-                counter_view(extra_telemetry.samples(), compare),
-                counter_view(&probed.metrics.telemetry, compare),
-                "an extra telemetry probe on the same grid must see the \
-                 same counter deltas as the built-in one"
-            );
-        }
     }
 }
 
@@ -301,8 +274,9 @@ proptest! {
 /// on dense, lazy, and tiled backends dispatches the identical event
 /// trace, so every pause-grid counter delta — engine-side *and* the
 /// temporal layer's row/epoch counters, since all three wrap the same
-/// channel stack — must agree sample for sample (no resume split; a
-/// split legitimately zeroes the sinks mid-series).
+/// channel stack — must agree sample for sample (no resume split: a
+/// resumed run rebuilds the channel's row cache cold, so its
+/// backend-side counters honestly count more work).
 #[test]
 fn counter_deltas_identical_across_backends() {
     let runner = ScenarioRunner::new(observed_spec(1, 7, false)).unwrap();
@@ -339,21 +313,84 @@ fn counter_deltas_identical_across_backends() {
         .map(|s| s.delta.get(TCounter::RowHits))
         .sum();
     assert!(row_hits > 0, "row cache never hit");
-    // The series actually counted the run: the event deltas sum to at
-    // most the digest's total (the tail past the last grid tick is not
-    // sampled — the horizon here is off the 16-tick grid).
-    let events: u64 = dense
-        .metrics
-        .telemetry
-        .iter()
-        .map(|s| s.delta.get(TCounter::Events))
-        .sum();
-    assert!(events > 0, "no events counted");
-    assert!(events <= dense.digest.stats.events);
-    // And the channel scenario surfaced its scan stats.
-    let scan = dense.metrics.scan_stats.expect("temporal backend");
-    assert!(scan.scans > 0, "rows were built");
-    assert!(scan.pairs >= scan.scans, "windows hold at least one pair");
+    // The series counted the whole run: the horizon (off the 16-tick
+    // grid here) closes a final sample, so the deltas sum to the
+    // digest's totals.
+    let total =
+        |c: TCounter| -> u64 { dense.metrics.telemetry.iter().map(|s| s.delta.get(c)).sum() };
+    assert_eq!(total(TCounter::Events), dense.digest.stats.events);
+    // And the channel scenario counted its row builds.
+    assert!(total(TCounter::RowsBuilt) > 0, "rows were built");
+    assert!(
+        total(TCounter::RowPairs) >= total(TCounter::RowsBuilt),
+        "windows hold at least one pair"
+    );
+}
+
+/// The shipped storm scenario: temporal channel, ζ(t) monitor, and
+/// windowed PRR.
+fn storm_runner() -> ScenarioRunner {
+    let path = golden::scenario_dir().join("drift_mobility_storm.json");
+    let text = std::fs::read_to_string(path).expect("shipped spec");
+    ScenarioRunner::new(ScenarioSpec::from_json_str(&text).expect("spec parses")).unwrap()
+}
+
+/// Attaching a runlog moves no counter. The runlog serializes the
+/// session's samples and never reads the backend itself, so the series
+/// is identical with and without one — backend-side row and epoch
+/// counters included.
+#[test]
+fn runlog_leaves_the_telemetry_series_untouched() {
+    let runner = storm_runner();
+    let bare = runner.run().unwrap();
+    let mut log = Vec::new();
+    let logged = runner
+        .run_with_options(
+            RunOptions {
+                runlog: Some(&mut log),
+                ..RunOptions::default()
+            },
+            &mut [],
+        )
+        .unwrap();
+    assert!(!log.is_empty(), "the runlog was written");
+    assert!(!bare.metrics.telemetry.is_empty());
+    assert_eq!(
+        counter_view(&logged.metrics.telemetry, &TCounter::ALL),
+        counter_view(&bare.metrics.telemetry, &TCounter::ALL),
+        "attaching a runlog changed the telemetry series"
+    );
+}
+
+/// A run parked and resumed at a mid-run split carries its counter
+/// deltas across the restore: the engine-side series matches the
+/// unsplit run sample for sample, and its `events` sum to the run's.
+#[test]
+fn split_runs_keep_the_engine_side_series() {
+    let runner = storm_runner();
+    let whole = runner.run().unwrap();
+    let events = |r: &decay_scenario::ScenarioReport| -> u64 {
+        r.metrics
+            .telemetry
+            .iter()
+            .map(|s| s.delta.get(TCounter::Events))
+            .sum()
+    };
+    assert_eq!(events(&whole), whole.digest.stats.events);
+    for split in [1, 100, 128, 255] {
+        let resumed = runner.run_with_resume(split).unwrap();
+        assert_eq!(resumed.checkpointed, Some(split));
+        assert_eq!(
+            counter_view(&resumed.metrics.telemetry, &ENGINE_SIDE),
+            counter_view(&whole.metrics.telemetry, &ENGINE_SIDE),
+            "split at {split} changed the engine-side series"
+        );
+        assert_eq!(
+            events(&resumed),
+            resumed.digest.stats.events,
+            "split at {split}"
+        );
+    }
 }
 
 /// Out-of-range resume splits now fail loudly instead of silently

@@ -80,11 +80,11 @@ fn run(n: usize, block: u64, horizon: u64) -> u64 {
         Engine::new(backend, behaviors, SinrParams::default(), config, 7).expect("engine builds");
 
     // The whole observation story is two probes on one shared loop:
-    // the ζ(t) monitor and the windowed-PRR tracker see the identical
+    // the ζ(t) monitor and the windowed-PRR probe see the identical
     // pause stream the scenario runner's probes would.
     let window = 64;
     let mut monitor = MetricityMonitor::new(window, 24);
-    let mut prr = WindowedPrr::new(n, window, 8);
+    let mut prr = WindowedPrr::new(window);
     drive_probed(&mut engine, horizon, window, &mut [&mut monitor, &mut prr]);
 
     println!(
@@ -111,8 +111,9 @@ fn run(n: usize, block: u64, horizon: u64) -> u64 {
 
 fn main() {
     let quick = std::env::var("EXAMPLES_QUICK").is_ok_and(|v| v == "1");
-    // The headline run: 5k nodes never materialize a 25M-entry matrix,
-    // and the channel drifts under them (CI shrinks it to smoke size).
+    // The headline run: 5k nodes, and no layer — backend, channel, or
+    // probe — holds an n×n (25M-entry) table while the channel drifts
+    // under them (CI shrinks it to smoke size).
     if quick {
         run(500, 32, 256);
     } else {
