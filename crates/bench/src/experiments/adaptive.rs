@@ -15,7 +15,7 @@ use decay_engine::Tick;
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec, ProtocolSpec,
-    ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
 };
 
 use crate::table::{fmt_f, fmt_ok, Table};
@@ -131,21 +131,29 @@ pub fn e40_adaptive_scheduling() -> Table {
             let report = runner.run().expect("e40 run");
             // The acceptance property: a mid-run checkpoint/resume cycle
             // (controller identity verified on restore) is bit-identical.
-            let resumed = runner.run_with_resume(HORIZON / 2).expect("e40 resume run");
+            let resumed = runner
+                .run_with_options(
+                    RunOptions {
+                        resume_at: Some(HORIZON / 2),
+                        ..RunOptions::default()
+                    },
+                    &mut [],
+                )
+                .expect("e40 resume run");
             let resume_ok =
                 resumed.digest == report.digest && resumed.checkpointed == Some(HORIZON / 2);
             all_resume_ok &= resume_ok;
             deterministic &= runner.run().expect("rerun").digest == report.digest;
             hashes[i] = report.digest.hash;
 
-            let windows = &report.metrics.prr_windows;
+            let windows = report.metrics.prr_windows();
             let win_mean = if windows.is_empty() {
                 0.0
             } else {
                 windows.iter().map(|w| w.prr).sum::<f64>() / windows.len() as f64
             };
             let win_min = windows.iter().map(|w| w.prr).fold(f64::INFINITY, f64::min);
-            let zetas = &report.metrics.zeta_series;
+            let zetas = report.metrics.zeta_series();
             let zeta_mean = if zetas.is_empty() {
                 0.0
             } else {

@@ -93,10 +93,8 @@ fn engine_over(backend: impl DecayBackend + 'static, n: usize) -> Engine<Gossipe
 }
 
 /// E38 — temporal-channel throughput: events/sec against coherence-block
-/// length at 2k nodes (debug-sized; the `engine_bench` bin measures the
-/// same workload at 10k in release mode), with the static backend as
-/// baseline and a full-scan run cross-checked bit-identical against its
-/// hinted twin.
+/// length at 2k nodes, with the static backend as baseline and a
+/// full-scan run cross-checked bit-identical against its hinted twin.
 pub fn e38_channel_throughput() -> Table {
     let mut t = Table::new(
         "E38",
@@ -117,9 +115,8 @@ pub fn e38_channel_throughput() -> Table {
             "deterministic",
         ],
     );
-    // Sized for the debug-mode smoke test; the criterion bench
-    // (`benches/engine.rs`) and the `engine_bench` bin measure the same
-    // workload at 10k nodes in release mode.
+    // Sized for the debug-mode smoke test. perfbench's `mobility-20k`
+    // measures a temporal channel end to end at 20k nodes.
     let n = 2_000;
     let horizon = 80;
     let mut run = |label: &str, block: Option<u64>, hinted: bool| -> (u64, bool) {

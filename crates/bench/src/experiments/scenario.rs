@@ -3,7 +3,7 @@
 //! reporting the collected metrics — the experiment-harness view of the
 //! golden-trace suite.
 
-use decay_scenario::{golden, BackendSpec, ScenarioRunner};
+use decay_scenario::{golden, BackendSpec, RunOptions, ScenarioRunner};
 
 use crate::table::{fmt_f, fmt_ok, Table};
 
@@ -62,7 +62,13 @@ pub fn e37_scenario_sweep() -> Table {
         .filter(|&b| b != runner.spec().backend)
         .all(|b| {
             runner
-                .run_on(b)
+                .run_with_options(
+                    RunOptions {
+                        backend: Some(b),
+                        ..RunOptions::default()
+                    },
+                    &mut [],
+                )
                 .map(|r| r.digest == report.digest)
                 .unwrap_or(false)
         });

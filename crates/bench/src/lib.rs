@@ -11,8 +11,8 @@
 //! cargo run --release -p decay-bench --bin run_experiments
 //! ```
 //!
-//! or a selection: `run_experiments E4 E9`. Criterion benchmarks for the
-//! algorithmic kernels live under `benches/`.
+//! or a selection: `run_experiments E4 E9`. Performance is measured
+//! separately, end to end, by the `perfbench/` harness (see its README).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -61,8 +61,8 @@ impl Table {
     }
 
     /// Renders as a JSON document (id, title, claim, headers, rows,
-    /// verdict) — the machine-readable artifact CI uploads alongside
-    /// `BENCH_engine.json`.
+    /// verdict) — the machine-readable artifact `run_experiments --json`
+    /// writes and CI uploads for E40.
     pub fn to_json_string(&self) -> String {
         use decay_core::json::{obj, s, JsonValue};
         let row_array =

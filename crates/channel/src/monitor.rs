@@ -89,11 +89,6 @@ impl MetricityMonitor {
     pub fn samples(&self) -> &[ZetaSample] {
         &self.samples
     }
-
-    /// Consumes the monitor, yielding the series.
-    pub fn into_samples(self) -> Vec<ZetaSample> {
-        self.samples
-    }
 }
 
 /// The monitor plugs directly into the probe API: every pause-grid
@@ -175,7 +170,6 @@ mod tests {
         mon.record(8, &backend);
         assert_eq!(mon.samples().len(), 2);
         assert_eq!(mon.samples()[1].tick, 8);
-        assert_eq!(mon.clone().into_samples().len(), 2);
     }
 
     #[test]

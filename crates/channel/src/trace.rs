@@ -84,6 +84,9 @@ impl GainTrace {
         if n < 2 {
             return Err(TraceError::new("needs at least two nodes"));
         }
+        let cells = n
+            .checked_mul(n)
+            .ok_or_else(|| TraceError::new(format!("{n} nodes overflow an n × n frame")))?;
         if block_len == 0 {
             return Err(TraceError::new("block_len must be at least one tick"));
         }
@@ -99,11 +102,10 @@ impl GainTrace {
             }
         }
         for (k, frame) in frames.iter().enumerate() {
-            if frame.gains.len() != n * n {
+            if frame.gains.len() != cells {
                 return Err(TraceError::new(format!(
-                    "frame {k} has {} gains, expected {}",
-                    frame.gains.len(),
-                    n * n
+                    "frame {k} has {} gains, expected {cells}",
+                    frame.gains.len()
                 )));
             }
             for i in 0..n {
@@ -459,5 +461,10 @@ mod tests {
         assert!(GainTrace::from_json_str("not json").is_err());
         let tampered = ok.to_json_string().replace("decay-gain-trace-v1", "v0");
         assert!(GainTrace::from_json_str(&tampered).is_err());
+        // n × n overflows usize: an error, not a multiply-overflow or
+        // out-of-bounds panic.
+        let huge = r#"{"format":"decay-gain-trace-v1","n":4294967296,"block_len":1,
+            "frames":[{"block":0,"gains":[]}]}"#;
+        assert!(GainTrace::from_json_str(huge).is_err());
     }
 }

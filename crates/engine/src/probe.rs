@@ -467,11 +467,6 @@ impl WindowedPrr {
         &self.samples
     }
 
-    /// Consumes the probe, yielding the series.
-    pub fn into_samples(self) -> Vec<PrrWindowSample> {
-        self.samples
-    }
-
     fn absorb(&mut self, ctx: &PauseCtx<'_>) {
         while ctx.tick >= self.next_boundary {
             // A driver that skips a boundary (window not a multiple of
@@ -633,7 +628,7 @@ mod tests {
             let mut engine = line_engine(10, 3);
             let mut prr = WindowedPrr::new(20);
             drive_probed(&mut engine, 120, check, &mut [&mut prr]);
-            (engine.trace_hash(), prr.into_samples())
+            (engine.trace_hash(), prr.samples().to_vec())
         };
         // check_interval 20 pauses only at boundaries; 5 and 10 pause
         // inside windows too. The emitted series must be identical.

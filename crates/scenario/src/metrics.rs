@@ -81,10 +81,10 @@ impl MetricsCollector {
     /// links for contention, in-flight survival for announce);
     /// `completed_at` the tick the protocol's goal was reached, if it
     /// was; `wall` the measured wall-clock time of the run;
-    /// `zeta_series` the sampled metricity trajectory (empty when no
-    /// monitor ran); `prr_windows` the windowed reception-ratio series
-    /// (empty when the spec requests none); `telemetry` the session's
-    /// sample series (empty for hand-built reports).
+    /// `zeta_at_start` the ζ(t) monitor's start-pause sample (`None`
+    /// when no monitor ran); `telemetry` the session's sample series,
+    /// which carries every later ζ(t) sample and every PRR window
+    /// (empty for hand-built reports).
     #[allow(clippy::too_many_arguments)]
     pub fn finish(
         self,
@@ -93,8 +93,7 @@ impl MetricsCollector {
         prr: f64,
         completed_at: Option<Tick>,
         wall: Duration,
-        zeta_series: Vec<ZetaSample>,
-        prr_windows: Vec<PrrWindowSample>,
+        zeta_at_start: Option<ZetaSample>,
         telemetry: Vec<RunSample>,
         channel_signature: u64,
     ) -> MetricsReport {
@@ -103,8 +102,7 @@ impl MetricsCollector {
             channel_signature,
             completed_at,
             prr,
-            zeta_series,
-            prr_windows,
+            zeta_at_start,
             telemetry,
             latency_hist: self.hist,
             mean_latency: if self.observed == 0 {
@@ -138,13 +136,10 @@ pub struct MetricsReport {
     pub completed_at: Option<Tick>,
     /// Protocol-level packet reception ratio in `[0, 1]`.
     pub prr: f64,
-    /// The sampled `ζ(t)`/`φ(t)` metricity trajectory (empty unless the
-    /// spec's channel block enables a monitor).
-    pub zeta_series: Vec<ZetaSample>,
-    /// The windowed packet-reception-ratio series (empty unless the
-    /// spec sets `prr_window`): per-window deliveries over
-    /// transmissions, the drift view the lifetime `prr` flattens.
-    pub prr_windows: Vec<PrrWindowSample>,
+    /// The ζ(t) monitor's sample at the start pause (tick 0), the one
+    /// monitor sample no [`RunSample`] carries (`None` unless the spec's
+    /// channel block enables a monitor). See [`Self::zeta_series`].
+    pub zeta_at_start: Option<ZetaSample>,
     /// The session's sample series: one [`RunSample`] per runlog-grid
     /// tick (every `check_interval` multiple, plus the horizon), the
     /// same samples the runlog serializes. Purely observational: never
@@ -168,6 +163,23 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
+    /// The sampled `ζ(t)`/`φ(t)` metricity trajectory: the start
+    /// pause's sample, then the one each [`RunSample`] on the monitor's
+    /// grid carries (empty unless the spec's channel block enables a
+    /// monitor).
+    pub fn zeta_series(&self) -> Vec<ZetaSample> {
+        let later = self.telemetry.iter().filter_map(|s| s.zeta);
+        self.zeta_at_start.into_iter().chain(later).collect()
+    }
+
+    /// The windowed packet-reception-ratio series, one window per
+    /// [`RunSample`] that closed one (empty unless the spec sets
+    /// `prr_window`): per-window deliveries over transmissions, the
+    /// drift view the lifetime `prr` flattens.
+    pub fn prr_windows(&self) -> Vec<PrrWindowSample> {
+        self.telemetry.iter().filter_map(|s| s.prr_window).collect()
+    }
+
     /// Renders the report as JSON.
     pub fn to_json(&self) -> JsonValue {
         let opt_tick = |t: Option<Tick>| match t {
@@ -183,11 +195,12 @@ impl MetricsReport {
             ("completed_at", opt_tick(self.completed_at)),
             ("prr", num(self.prr)),
         ];
-        if !self.zeta_series.is_empty() {
+        let zeta_series = self.zeta_series();
+        if !zeta_series.is_empty() {
             pairs.push((
                 "zeta_series",
                 JsonValue::Array(
-                    self.zeta_series
+                    zeta_series
                         .iter()
                         .map(|z| {
                             obj(vec![
@@ -201,11 +214,12 @@ impl MetricsReport {
                 ),
             ));
         }
-        if !self.prr_windows.is_empty() {
+        let prr_windows = self.prr_windows();
+        if !prr_windows.is_empty() {
             pairs.push((
                 "prr_windows",
                 JsonValue::Array(
-                    self.prr_windows
+                    prr_windows
                         .iter()
                         .map(|w| {
                             obj(vec![
@@ -304,8 +318,8 @@ impl fmt::Display for MetricsReport {
                 self.stats.churn_leaves, self.stats.churn_joins
             )?;
         }
-        if !self.zeta_series.is_empty() {
-            let zetas: Vec<f64> = self.zeta_series.iter().map(|z| z.zeta).collect();
+        let zetas: Vec<f64> = self.zeta_series().iter().map(|z| z.zeta).collect();
+        if !zetas.is_empty() {
             let min = zetas.iter().copied().fold(f64::INFINITY, f64::min);
             let max = zetas.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let mean = zetas.iter().sum::<f64>() / zetas.len() as f64;
@@ -316,8 +330,8 @@ impl fmt::Display for MetricsReport {
                 zetas.len()
             )?;
         }
-        if !self.prr_windows.is_empty() {
-            let rates: Vec<f64> = self.prr_windows.iter().map(|w| w.prr).collect();
+        let rates: Vec<f64> = self.prr_windows().iter().map(|w| w.prr).collect();
+        if !rates.is_empty() {
             let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
             let max = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let mean = rates.iter().sum::<f64>() / rates.len() as f64;
@@ -358,7 +372,25 @@ impl fmt::Display for MetricsReport {
 mod tests {
     use super::*;
     use crate::sample::DeliverySummary;
+    use decay_core::telemetry::CounterSnapshot;
     use decay_core::NodeId;
+
+    /// A telemetry sample carrying nothing but its tick and a queue
+    /// high-water mark of 3.
+    fn sample(tick: Tick) -> RunSample {
+        RunSample {
+            tick,
+            stats: EngineStats {
+                queue_high_water: 3,
+                ..EngineStats::default()
+            },
+            delta: CounterSnapshot::default(),
+            deliveries: DeliverySummary::default(),
+            zeta: None,
+            prr_window: None,
+            directives: Vec::new(),
+        }
+    }
 
     fn record(sent: Tick, tick: Tick) -> DeliveryRecord {
         DeliveryRecord {
@@ -382,8 +414,7 @@ mod tests {
             1.0,
             None,
             Duration::from_millis(10),
-            Vec::new(),
-            Vec::new(),
+            None,
             Vec::new(),
             0,
         );
@@ -413,56 +444,56 @@ mod tests {
             0.5,
             Some(40),
             Duration::from_millis(5),
+            Some(ZetaSample {
+                tick: 0,
+                zeta: 2.0,
+                phi: 1.5,
+                nodes: 12,
+            }),
             vec![
-                ZetaSample {
-                    tick: 0,
-                    zeta: 2.0,
-                    phi: 1.5,
-                    nodes: 12,
+                RunSample {
+                    delta: {
+                        let sink = Counters::new();
+                        sink.add(Counter::Events, 42);
+                        sink.add(Counter::SinrPairs, 7);
+                        sink.add(Counter::RowsBuilt, 4);
+                        sink.add(Counter::RowPairs, 40);
+                        sink.add(Counter::RowHits, 12);
+                        sink.snapshot()
+                    },
+                    prr_window: Some(PrrWindowSample {
+                        tick: 25,
+                        transmissions: 6,
+                        deliveries: 2,
+                        prr: 2.0 / 6.0,
+                    }),
+                    ..sample(25)
                 },
-                ZetaSample {
-                    tick: 32,
-                    zeta: 2.75,
-                    phi: 1.75,
-                    nodes: 12,
+                RunSample {
+                    zeta: Some(ZetaSample {
+                        tick: 32,
+                        zeta: 2.75,
+                        phi: 1.75,
+                        nodes: 12,
+                    }),
+                    ..sample(32)
+                },
+                RunSample {
+                    prr_window: Some(PrrWindowSample {
+                        tick: 50,
+                        transmissions: 4,
+                        deliveries: 0,
+                        prr: 0.0,
+                    }),
+                    ..sample(50)
                 },
             ],
-            vec![
-                PrrWindowSample {
-                    tick: 25,
-                    transmissions: 6,
-                    deliveries: 2,
-                    prr: 2.0 / 6.0,
-                },
-                PrrWindowSample {
-                    tick: 50,
-                    transmissions: 4,
-                    deliveries: 0,
-                    prr: 0.0,
-                },
-            ],
-            vec![RunSample {
-                tick: 25,
-                stats: EngineStats {
-                    queue_high_water: 3,
-                    ..EngineStats::default()
-                },
-                delta: {
-                    let sink = Counters::new();
-                    sink.add(Counter::Events, 42);
-                    sink.add(Counter::SinrPairs, 7);
-                    sink.add(Counter::RowsBuilt, 4);
-                    sink.add(Counter::RowPairs, 40);
-                    sink.add(Counter::RowHits, 12);
-                    sink.snapshot()
-                },
-                deliveries: DeliverySummary::default(),
-                zeta: None,
-                prr_window: None,
-                directives: Vec::new(),
-            }],
             0x00AB_CDEF_0123_4567,
         );
+        let zeta_ticks: Vec<Tick> = report.zeta_series().iter().map(|z| z.tick).collect();
+        assert_eq!(zeta_ticks, [0, 32]);
+        let window_ticks: Vec<Tick> = report.prr_windows().iter().map(|w| w.tick).collect();
+        assert_eq!(window_ticks, [25, 50]);
         let text = report.to_string();
         assert!(text.contains("completed at tick 40"));
         assert!(text.contains("prr: 0.5000"));
@@ -473,7 +504,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("telemetry: 1 samples on the pause grid, queue high-water 3"),
+            text.contains("telemetry: 3 samples on the pause grid, queue high-water 3"),
             "{text}"
         );
         let json = report.to_json().pretty();
@@ -505,8 +536,7 @@ mod tests {
             0.0,
             None,
             Duration::from_secs(0),
-            Vec::new(),
-            Vec::new(),
+            None,
             Vec::new(),
             0,
         );
@@ -527,8 +557,7 @@ mod tests {
             0.0,
             None,
             Duration::from_secs(0),
-            Vec::new(),
-            Vec::new(),
+            None,
             Vec::new(),
             0,
         );

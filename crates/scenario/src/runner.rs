@@ -11,10 +11,9 @@
 //! The session only pauses the engine on a fixed boundary grid
 //! (multiples of `check_interval`), so pausing more often — to
 //! checkpoint, restore, or drain metrics — cannot change what the
-//! engine computes. That is what makes
-//! [`ScenarioRunner::run_with_resume`] digest-identical to
-//! [`ScenarioRunner::run`], and all three decay backends
-//! digest-identical to each other.
+//! engine computes. That is what makes a run split by
+//! [`RunOptions::resume_at`] digest-identical to [`ScenarioRunner::run`],
+//! and all three decay backends digest-identical to each other.
 
 use std::fmt;
 use std::io;
@@ -39,7 +38,7 @@ pub enum ScenarioError {
     Engine(EngineError),
     /// A checkpoint failed to round-trip through bytes.
     Checkpoint(String),
-    /// [`ScenarioRunner::run_with_resume`] was asked to split outside
+    /// [`ScenarioRunner::run_with_options`] was asked to split outside
     /// `(0, horizon)` — such a split could never checkpoint mid-run, and
     /// silently running without one (the old behavior) made callers
     /// believe resume fidelity had been exercised when it had not.
@@ -203,7 +202,7 @@ pub struct ScenarioReport {
     /// Number of nodes simulated.
     pub nodes: usize,
     /// Tick at which a checkpoint/restore cycle actually ran (only for
-    /// [`ScenarioRunner::run_with_resume`], and `None` there too when
+    /// a [`RunOptions::resume_at`] split, and `None` there too when
     /// the run completed before reaching the requested split — callers
     /// asserting resume fidelity should check this rather than assume).
     pub checkpointed: Option<Tick>,
@@ -244,8 +243,8 @@ impl fmt::Display for ScenarioReport {
 pub struct RunOptions<'a> {
     /// Backend override (`None` = the spec's declared backend).
     pub backend: Option<BackendSpec>,
-    /// Checkpoint/restore split tick, as in
-    /// [`ScenarioRunner::run_with_resume`].
+    /// Checkpoint/restore split tick: the run is parked to bytes here
+    /// and resumed on a fresh backend (must lie in `(0, horizon)`).
     pub resume_at: Option<Tick>,
     /// Writer receiving the `decay-runlog-v1` NDJSON stream (see
     /// [`crate::runlog`]).
@@ -318,49 +317,14 @@ impl ScenarioRunner {
         &self.compiled
     }
 
-    /// Runs the scenario on the backend the spec declares.
+    /// Runs the scenario on the backend the spec declares, with no
+    /// checkpoint split, extra probes or sinks.
     ///
     /// # Errors
     ///
     /// Returns an error if the engine rejects the compiled configuration.
     pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
-        self.run_on(self.spec().backend)
-    }
-
-    /// Runs the scenario on an explicit backend (the cross-backend
-    /// conformance hook; the digest must not depend on the choice).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the engine rejects the compiled configuration.
-    pub fn run_on(&self, backend: BackendSpec) -> Result<ScenarioReport, ScenarioError> {
-        self.execute(
-            RunOptions {
-                backend: Some(backend),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
-    }
-
-    /// Runs the scenario with a checkpoint/restore cycle at tick
-    /// `split`: the engine is serialized to bytes, decoded, and restored
-    /// onto a freshly built backend mid-run. The digest must equal an
-    /// uninterrupted run's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::InvalidSplit`] unless
-    /// `0 < split < horizon`, and an error if the engine rejects the
-    /// configuration or the checkpoint fails to round-trip.
-    pub fn run_with_resume(&self, split: Tick) -> Result<ScenarioReport, ScenarioError> {
-        self.run_with_options(
-            RunOptions {
-                resume_at: Some(split),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
+        self.run_with_options(RunOptions::default(), &mut [])
     }
 
     /// The fully general entry point: runs on the backend and with the
@@ -375,11 +339,16 @@ impl ScenarioRunner {
     /// bit-identical — the probe-transparency proptest under `tests/`
     /// enforces it.
     ///
+    /// With `resume_at: Some(split)` the session is parked to
+    /// checkpoint bytes at `split`, decoded, and restored onto a freshly
+    /// built backend; the digest must equal an uninterrupted run's.
+    ///
     /// # Errors
     ///
-    /// Everything [`Self::run_on`] and [`Self::run_with_resume`] can
-    /// return, plus [`ScenarioError::RunLog`] when an attached writer
-    /// fails.
+    /// Returns [`ScenarioError::InvalidSplit`] unless
+    /// `0 < split < horizon`, an error if the engine rejects the
+    /// configuration or the checkpoint fails to round-trip, and
+    /// [`ScenarioError::RunLog`] when an attached writer fails.
     pub fn run_with_options<'a>(
         &self,
         opts: RunOptions<'a>,
@@ -393,17 +362,6 @@ impl ScenarioRunner {
                 });
             }
         }
-        self.execute(opts, extra)
-    }
-
-    /// The drive loop: step the session to completion, and when it
-    /// reports the breakpoint (the requested resume split), run one
-    /// full park/resume cycle through checkpoint bytes.
-    fn execute<'a>(
-        &self,
-        opts: RunOptions<'a>,
-        extra: &'a mut [&mut dyn Probe],
-    ) -> Result<ScenarioReport, ScenarioError> {
         let mut session = RunSession::new(Arc::clone(&self.compiled), opts, extra)?;
         loop {
             match session.step_to_next_pause() {

@@ -1072,10 +1072,13 @@ impl<'a, 'p> RunSession<'a, 'p> {
             self.harness.prr(),
             self.completed_at,
             self.wall_start.elapsed(),
-            self.monitor.map(|m| m.into_samples()).unwrap_or_default(),
-            self.windowed_prr
-                .map(WindowedPrr::into_samples)
-                .unwrap_or_default(),
+            // The start pause's sample; every later one rides on a
+            // `RunSample`.
+            self.monitor
+                .as_ref()
+                .and_then(|m| m.samples().first())
+                .filter(|z| z.tick == 0)
+                .copied(),
             self.samples,
             self.harness.channel_signature(),
         );

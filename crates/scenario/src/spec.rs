@@ -1936,6 +1936,21 @@ mod tests {
         let err = ScenarioSpec::from_json(&v).unwrap_err();
         assert!(err.path.contains("threads"), "{err}");
 
+        // An inline gain trace whose n × n frame size overflows usize
+        // is a decode error, not a panic.
+        let text = r#"{
+            "name": "x",
+            "seed": 1,
+            "horizon": 10,
+            "topology": {"kind": "line", "n": 4, "spacing": 1.0, "alpha": 2.0},
+            "sinr": {"beta": 1.0, "noise": 0.0},
+            "protocol": {"kind": "announce", "probability": 0.1, "power": 1.0},
+            "channel": {"block": 1, "trace": {"format": "decay-gain-trace-v1",
+                "n": 4294967296, "block_len": 1, "frames": [{"block": 0, "gains": []}]}}
+        }"#;
+        let err = ScenarioSpec::from_json_str(text).unwrap_err();
+        assert_eq!(err.path, "channel.trace", "{err}");
+
         // Absurd topology sizes fail cleanly instead of overflowing.
         let mut bad = base;
         bad.topology = TopologySpec::Grid {

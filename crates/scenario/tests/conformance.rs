@@ -11,7 +11,7 @@ use decay_engine::{ChurnConfig, JamSchedule, LatencyModel};
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec, ProtocolSpec,
-    ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -204,23 +204,27 @@ proptest! {
             channel,
         });
         let runner = ScenarioRunner::new(spec).unwrap();
-        let dense = runner.run_on(BackendSpec::Dense).unwrap();
-        let lazy = runner.run_on(BackendSpec::Lazy).unwrap();
-        let tiled = runner
-            .run_on(BackendSpec::Tiled { tile_size: 5, max_tiles: 3 })
-            .unwrap();
+        let run_on = |backend| {
+            runner.run_with_options(
+                RunOptions { backend: Some(backend), ..RunOptions::default() },
+                &mut [],
+            )
+        };
+        let dense = run_on(BackendSpec::Dense).unwrap();
+        let lazy = run_on(BackendSpec::Lazy).unwrap();
+        let tiled = run_on(BackendSpec::Tiled { tile_size: 5, max_tiles: 3 }).unwrap();
         prop_assert_eq!(&dense.digest, &lazy.digest, "dense vs lazy");
         prop_assert_eq!(&dense.digest, &tiled.digest, "dense vs tiled");
-        prop_assert_eq!(&dense.metrics.zeta_series, &lazy.metrics.zeta_series);
-        prop_assert_eq!(&dense.metrics.zeta_series, &tiled.metrics.zeta_series);
+        prop_assert_eq!(dense.metrics.zeta_series(), lazy.metrics.zeta_series());
+        prop_assert_eq!(dense.metrics.zeta_series(), tiled.metrics.zeta_series());
         if channel % 4 != 0 {
             prop_assert!(
-                !dense.metrics.zeta_series.is_empty(),
+                !dense.metrics.zeta_series().is_empty(),
                 "monitored channel produced no ζ(t) samples"
             );
         }
         // Deterministic in the spec: a second run reproduces exactly.
-        let again = runner.run_on(BackendSpec::Dense).unwrap();
+        let again = run_on(BackendSpec::Dense).unwrap();
         prop_assert_eq!(&dense.digest, &again.digest, "rerun");
         // And the digest survives its own canonical text form.
         let parsed = decay_scenario::TraceDigest::parse(&dense.digest.canonical()).unwrap();

@@ -8,7 +8,7 @@
 //! `SCENARIO_GOLDEN_UPDATE=1` and commit the rewritten digest files.
 
 use decay_scenario::golden::{self, GoldenOutcome};
-use decay_scenario::{BackendSpec, ScenarioRunner};
+use decay_scenario::{BackendSpec, RunOptions, ScenarioRunner};
 
 #[test]
 fn shipped_specs_have_stable_cross_backend_digests() {
@@ -38,7 +38,15 @@ fn shipped_specs_have_stable_cross_backend_digests() {
         .into_iter()
         .filter(|&b| b != runner.spec().backend)
         {
-            let other = runner.run_on(backend).expect("cross-backend run");
+            let other = runner
+                .run_with_options(
+                    RunOptions {
+                        backend: Some(backend),
+                        ..RunOptions::default()
+                    },
+                    &mut [],
+                )
+                .expect("cross-backend run");
             assert_eq!(
                 declared.digest, other.digest,
                 "{name}: digest differs on {backend:?}"
@@ -50,7 +58,15 @@ fn shipped_specs_have_stable_cross_backend_digests() {
         // did — a split past the run's end silently skips the
         // checkpoint, which would leave codec regressions untested.
         let split = (declared.digest.completed_at.unwrap_or(horizon) / 2).max(1);
-        let resumed = runner.run_with_resume(split).expect("resumed run");
+        let resumed = runner
+            .run_with_options(
+                RunOptions {
+                    resume_at: Some(split),
+                    ..RunOptions::default()
+                },
+                &mut [],
+            )
+            .expect("resumed run");
         assert_eq!(
             resumed.checkpointed,
             Some(split),

@@ -239,14 +239,14 @@ proptest! {
             prop_assert_eq!(&bare_text, &stripped, "runlog bytes drifted");
         }
         prop_assert_eq!(runlog::diff(&bare_text, &probed_text).unwrap(), None);
-        prop_assert_eq!(&bare.metrics.zeta_series, &probed.metrics.zeta_series);
-        prop_assert_eq!(&bare.metrics.prr_windows, &probed.metrics.prr_windows);
+        prop_assert_eq!(bare.metrics.zeta_series(), probed.metrics.zeta_series());
+        prop_assert_eq!(bare.metrics.prr_windows(), probed.metrics.prr_windows());
         prop_assert_eq!(bare.metrics.latency_hist, probed.metrics.latency_hist);
-        prop_assert!(!bare.metrics.zeta_series.is_empty(), "monitor never sampled");
+        prop_assert!(!bare.metrics.zeta_series().is_empty(), "monitor never sampled");
         // A run that completes before the first 32-tick boundary emits
         // no full window; otherwise the series must be populated.
         if bare.digest.completed_at.is_none_or(|t| t >= 32) {
-            prop_assert!(!bare.metrics.prr_windows.is_empty(), "no PRR windows emitted");
+            prop_assert!(!bare.metrics.prr_windows().is_empty(), "no PRR windows emitted");
         }
 
         // The extras really watched the run they left untouched.
@@ -259,7 +259,7 @@ proptest! {
         if subset & 2 != 0 {
             prop_assert_eq!(
                 extra_monitor.samples(),
-                &probed.metrics.zeta_series[..],
+                &probed.metrics.zeta_series()[..],
                 "an extra monitor on the same grid must see the same series"
             );
         }
@@ -280,14 +280,23 @@ proptest! {
 #[test]
 fn counter_deltas_identical_across_backends() {
     let runner = ScenarioRunner::new(observed_spec(1, 7, false)).unwrap();
-    let dense = runner.run_on(BackendSpec::Dense).unwrap();
-    let lazy = runner.run_on(BackendSpec::Lazy).unwrap();
-    let tiled = runner
-        .run_on(BackendSpec::Tiled {
-            tile_size: 5,
-            max_tiles: 3,
-        })
-        .unwrap();
+    let run_on = |backend| {
+        runner
+            .run_with_options(
+                RunOptions {
+                    backend: Some(backend),
+                    ..RunOptions::default()
+                },
+                &mut [],
+            )
+            .unwrap()
+    };
+    let dense = run_on(BackendSpec::Dense);
+    let lazy = run_on(BackendSpec::Lazy);
+    let tiled = run_on(BackendSpec::Tiled {
+        tile_size: 5,
+        max_tiles: 3,
+    });
     assert!(
         !dense.metrics.telemetry.is_empty(),
         "scenario runs always carry a telemetry series"
@@ -378,7 +387,15 @@ fn split_runs_keep_the_engine_side_series() {
     };
     assert_eq!(events(&whole), whole.digest.stats.events);
     for split in [1, 100, 128, 255] {
-        let resumed = runner.run_with_resume(split).unwrap();
+        let resumed = runner
+            .run_with_options(
+                RunOptions {
+                    resume_at: Some(split),
+                    ..RunOptions::default()
+                },
+                &mut [],
+            )
+            .unwrap();
         assert_eq!(resumed.checkpointed, Some(split));
         assert_eq!(
             counter_view(&resumed.metrics.telemetry, &ENGINE_SIDE),
@@ -399,8 +416,17 @@ fn split_runs_keep_the_engine_side_series() {
 fn out_of_range_splits_are_rejected() {
     let runner = ScenarioRunner::new(observed_spec(0, 1, false)).unwrap();
     let horizon = runner.spec().horizon;
+    let run_split = |split| {
+        runner.run_with_options(
+            RunOptions {
+                resume_at: Some(split),
+                ..RunOptions::default()
+            },
+            &mut [],
+        )
+    };
     for bad in [0, horizon, horizon + 1, horizon * 10] {
-        match runner.run_with_resume(bad) {
+        match run_split(bad) {
             Err(decay_scenario::ScenarioError::InvalidSplit { split, horizon: h }) => {
                 assert_eq!(split, bad);
                 assert_eq!(h, horizon);
@@ -410,7 +436,7 @@ fn out_of_range_splits_are_rejected() {
     }
     // Every strictly-interior split is accepted and actually checkpoints
     // (unless the run completes first, which `checkpointed` reports).
-    let report = runner.run_with_resume(horizon - 1).unwrap();
+    let report = run_split(horizon - 1).unwrap();
     assert_eq!(report.digest, runner.run().unwrap().digest);
 }
 

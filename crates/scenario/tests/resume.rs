@@ -173,15 +173,15 @@ proptest! {
         // The ζ(t) series samples only on the pause grid, so the extra
         // checkpoint pause cannot add, drop, or perturb a sample.
         prop_assert_eq!(
-            &uninterrupted.metrics.zeta_series,
-            &resumed.metrics.zeta_series
+            uninterrupted.metrics.zeta_series(),
+            resumed.metrics.zeta_series()
         );
-        prop_assert!(!uninterrupted.metrics.zeta_series.is_empty());
+        prop_assert!(!uninterrupted.metrics.zeta_series().is_empty());
         // Windowed PRR emits on fixed boundaries the pause grid always
         // hits, so the series is split-invariant too.
         prop_assert_eq!(
-            &uninterrupted.metrics.prr_windows,
-            &resumed.metrics.prr_windows
+            uninterrupted.metrics.prr_windows(),
+            resumed.metrics.prr_windows()
         );
         // The queue high-water mark is excluded from EngineStats
         // equality (it is telemetry, not trace), so the digest checks

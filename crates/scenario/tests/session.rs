@@ -114,8 +114,8 @@ fn deterministic_view(
     r: &ScenarioReport,
 ) -> (
     &decay_scenario::TraceDigest,
-    &Vec<ZetaSample>,
-    &Vec<PrrWindowSample>,
+    Vec<ZetaSample>,
+    Vec<PrrWindowSample>,
     f64,
     Option<Tick>,
     &[u64; decay_scenario::LATENCY_BUCKETS],
@@ -123,8 +123,8 @@ fn deterministic_view(
 ) {
     (
         &r.digest,
-        &r.metrics.zeta_series,
-        &r.metrics.prr_windows,
+        r.metrics.zeta_series(),
+        r.metrics.prr_windows(),
         r.metrics.prr,
         r.metrics.completed_at,
         &r.metrics.latency_hist,
